@@ -6,6 +6,9 @@
 // the wall-clock of each path. Expect gaps at solver precision (<= 1e-3)
 // and the closed form 3-5 orders of magnitude faster — the justification
 // for using the reformulation inside the training loop.
+#include <cmath>
+#include <string>
+
 #include "dro/wasserstein.hpp"
 #include "util/stopwatch.hpp"
 

@@ -7,11 +7,8 @@
 // Reported: wall throughput (device-rounds/s), the virtual-latency tail
 // (p50/p99/p999 over every device, crashes pinned at the deadline), mean
 // on-air bytes per device per round, and the MAP mode-recovery proxy.
-// Every row is bit-identical across thread counts — re-run with
-// DREL_FLEET_SCALE_HUGE=1 for a 1M-device row (same shape, ~10x the wall
-// time).
-#include <cstdlib>
-
+// The sweep ends at a 1M-device row (same shape as 100k, ~10x the wall
+// time). Every row is bit-identical across thread counts.
 #include "edgesim/server.hpp"
 #include "obs/health.hpp"
 
@@ -144,8 +141,7 @@ int main() {
         slow.expect_backpressure_fail = true;
         rows.push_back(slow);
     }
-    if (const char* env = std::getenv("DREL_FLEET_SCALE_HUGE");
-        env != nullptr && std::string(env) == "1") {
+    {
         Row huge;
         huge.label = "1M";
         huge.config.devices_per_round = 1000000;

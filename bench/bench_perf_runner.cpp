@@ -36,6 +36,7 @@
 #include "dro/kl.hpp"
 #include "dro/wasserstein.hpp"
 #include "edgesim/server.hpp"
+#include "edgesim/shard.hpp"
 #include "edgesim/simulation.hpp"
 #include "edgesim/transfer.hpp"
 #include "linalg/cholesky.hpp"
@@ -308,6 +309,20 @@ std::vector<BenchSpec> build_registry() {
         double acc = 0.0;
         for (std::size_t i = 0; i < iters; ++i) {
             acc += static_cast<double>(table.draw(rng));
+        }
+        sink(acc);
+    }});
+
+    // One device stream as the fleet engine builds it every device-round:
+    // device_stream's three-level fork chain (round -> device -> purpose)
+    // plus the first draw, which is where the engine state gets built.
+    registry.push_back({"stats.rng_device_stream", false, [](std::size_t iters) {
+        static const stats::Rng device_root = stats::Rng(20).fork(4);
+        double acc = 0.0;
+        for (std::size_t i = 0; i < iters; ++i) {
+            stats::Rng rng = edgesim::device_stream(device_root, i % 3, i,
+                                                    edgesim::DeviceStream::kWork);
+            acc += rng.uniform();
         }
         sink(acc);
     }});

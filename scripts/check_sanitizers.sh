@@ -32,6 +32,10 @@
 # trees, and the v2 decoders parse attacker-shaped buffers with bit-packed
 # reads — buffer arithmetic ASan exists to falsify.
 #
+# The RNG suite (test_rng) rides in both builds: the lazily built engine
+# state is copied word-by-word up to its built prefix, and ASan should watch
+# those copies and the chunked first-block twist index arithmetic.
+#
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
 
@@ -49,7 +53,7 @@ for sanitizer in thread address; do
                  test_membership test_membership_stats \
                  test_linalg_property test_dro_invariants \
                  test_simd_dispatch test_sampling_stats test_obs \
-                 test_streaming_posterior test_transfer_v2 > /dev/null
+                 test_streaming_posterior test_transfer_v2 test_rng > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -57,7 +61,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -7,6 +7,26 @@
 #include "obs/profiler.hpp"
 
 namespace drel::edgesim {
+namespace {
+
+/// Deferred-scoring buffers of one shard round (about 0.5 MB at 6250
+/// devices). Like the Workspace::local() arena the round works in, they are
+/// kept per thread so their capacity outlives the engine run: buffers
+/// allocated per run go back to the OS at its end and are faulted in again
+/// at the next start.
+struct DeferScratch {
+    std::vector<std::size_t> devices;  ///< global indices, slice order
+    std::vector<std::size_t> tags;
+    std::vector<double> thetas;        ///< row-major [deferred x dim]
+    std::vector<double> accuracy;
+};
+
+DeferScratch& thread_defer_scratch() {
+    static thread_local DeferScratch scratch;
+    return scratch;
+}
+
+}  // namespace
 
 stats::Rng device_stream(const stats::Rng& device_root, std::size_t round,
                          std::size_t device, DeviceStream purpose) {
@@ -79,9 +99,7 @@ void RoundSoA::resize(std::size_t devices) {
 }
 
 Shard::Shard(ShardLayout layout, std::size_t theta_dim)
-    : layout_(layout),
-      theta_dim_(theta_dim),
-      workspace_(std::make_unique<util::Workspace>()) {}
+    : layout_(layout), theta_dim_(theta_dim) {}
 
 ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_root,
                                   const FaultPlan& plan, const DeviceWork& work,
@@ -95,9 +113,13 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
     ShardRoundOutput out;
     out.batch.round = static_cast<std::uint32_t>(round);
     out.batch.shard = static_cast<std::uint32_t>(layout_.index);
-    defer_devices_.clear();
-    defer_tags_.clear();
-    defer_thetas_.clear();
+    util::Workspace& ws = util::Workspace::local();
+    // Taken out of the thread's slot for the round and handed back at its
+    // end, so a round nested on this thread cannot clobber it.
+    DeferScratch defer = std::move(thread_defer_scratch());
+    defer.devices.clear();
+    defer.tags.clear();
+    defer.thetas.clear();
 
     for (std::size_t j = layout_.begin; j < layout_.end; ++j) {
         // Non-member slot (Unknown/Joining/Dead): skip without renumbering.
@@ -114,7 +136,7 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
             // Died mid-round: contributes nothing — no score, no upload.
             result.reason = DegradedReason::kCrashed;
         } else {
-            result = work(round, j, work_rng, *workspace_);
+            result = work(round, j, work_rng, ws);
         }
 
         // Virtual latency: a bounded healthy draw plus whatever simulated
@@ -142,10 +164,9 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
                 throw std::invalid_argument(
                     "Shard::run_round: defer_score without a populated theta");
             }
-            defer_devices_.push_back(j);
-            defer_tags_.push_back(result.score_tag);
-            defer_thetas_.insert(defer_thetas_.end(), result.theta.begin(),
-                                 result.theta.end());
+            defer.devices.push_back(j);
+            defer.tags.push_back(result.score_tag);
+            defer.thetas.insert(defer.thetas.end(), result.theta.begin(), result.theta.end());
         }
 
         soa.accuracy[j] = result.accuracy;
@@ -166,16 +187,16 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
             if (keep_thetas) out.batch.thetas.emplace_back(j, std::move(result.theta));
         }
     }
-    if (!defer_devices_.empty()) {
+    if (!defer.devices.empty()) {
         DREL_PROFILE_SCOPE("engine.shard_batch_score");
-        defer_accuracy_.assign(defer_devices_.size(), 0.0);
-        (*batch_score)(round, defer_tags_.data(), defer_thetas_.data(),
-                       defer_devices_.size(), theta_dim_, defer_accuracy_.data(),
-                       *workspace_);
-        for (std::size_t i = 0; i < defer_devices_.size(); ++i) {
-            soa.accuracy[defer_devices_[i]] = defer_accuracy_[i];
+        defer.accuracy.assign(defer.devices.size(), 0.0);
+        (*batch_score)(round, defer.tags.data(), defer.thetas.data(), defer.devices.size(),
+                       theta_dim_, defer.accuracy.data(), ws);
+        for (std::size_t i = 0; i < defer.devices.size(); ++i) {
+            soa.accuracy[defer.devices[i]] = defer.accuracy[i];
         }
     }
+    thread_defer_scratch() = std::move(defer);
 
     out.batch.on_air_bytes = out.batch.stats.count == 0
                                  ? 0

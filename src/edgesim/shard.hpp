@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "edgesim/faults.hpp"
@@ -179,16 +178,16 @@ struct ShardRoundOutput {
     double completion_seconds = 0.0;
 };
 
-/// Execution state for one shard: its device range plus a private workspace
-/// arena that persists across rounds, so steady-state shard work allocates
-/// nothing. Shards are independent — the engine may run any subset of them
-/// concurrently.
+/// One shard: its device range. Shards are independent — the engine may run
+/// any subset of them concurrently. A round's scratch (the workspace handed
+/// to `work`, the deferred-scoring buffers) belongs to the thread running
+/// it, not to the shard, so its capacity survives across rounds AND engine
+/// runs: a steady stream of fleet runs allocates nothing here.
 class Shard {
  public:
     Shard(ShardLayout layout, std::size_t theta_dim);
 
     const ShardLayout& layout() const noexcept { return layout_; }
-    util::Workspace& workspace() noexcept { return *workspace_; }
 
     /// Computes the slice [layout.begin, layout.end) for `round`: derives
     /// each device's work/latency streams, applies the fault plan, runs
@@ -215,15 +214,6 @@ class Shard {
  private:
     ShardLayout layout_;
     std::size_t theta_dim_;
-    // Behind a pointer so Shard stays movable (arenas are pinned in place).
-    std::unique_ptr<util::Workspace> workspace_;
-
-    // Deferred-scoring scratch, reused across rounds (steady-state
-    // allocation-free, like the arena).
-    std::vector<std::size_t> defer_devices_;  ///< global indices, slice order
-    std::vector<std::size_t> defer_tags_;
-    std::vector<double> defer_thetas_;        ///< row-major [deferred x dim]
-    std::vector<double> defer_accuracy_;
 };
 
 }  // namespace drel::edgesim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace drel::stats {
 
@@ -33,15 +34,53 @@ double quantile(linalg::Vector x, double q) {
     return x[lo] * (1.0 - frac) + x[hi] * frac;
 }
 
+namespace {
+
+/// 0-based index of the ceil(q * n)-th value; n > 0.
+std::size_t nearest_rank_index(std::size_t n, double q) {
+    const auto rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+    const std::size_t index = rank == 0 ? 0 : rank - 1;
+    return std::min(index, n - 1);
+}
+
+void check_quantile_level(double q, const char* where) {
+    if (!(q >= 0.0) || !(q <= 1.0)) {
+        throw std::invalid_argument(std::string(where) + ": q must be in [0,1]");
+    }
+}
+
+}  // namespace
+
 double nearest_rank(const std::vector<double>& sorted, double q) {
     if (sorted.empty()) return 0.0;
-    if (!(q >= 0.0) || !(q <= 1.0)) {
-        throw std::invalid_argument("nearest_rank: q must be in [0,1]");
+    check_quantile_level(q, "nearest_rank");
+    return sorted[nearest_rank_index(sorted.size(), q)];
+}
+
+std::vector<double> nearest_ranks(std::vector<double>& values, const std::vector<double>& qs) {
+    std::vector<double> out(qs.size(), 0.0);
+    // Invariant: every value before `unplaced` is <= every value from it on,
+    // so each larger rank is selected within the shrinking tail only.
+    auto unplaced = values.begin();
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+        check_quantile_level(qs[i], "nearest_ranks");
+        if (i > 0 && qs[i] < qs[i - 1]) {
+            throw std::invalid_argument("nearest_ranks: qs must be non-decreasing");
+        }
+        if (values.empty()) continue;
+        const auto nth = values.begin() +
+                         static_cast<std::ptrdiff_t>(nearest_rank_index(values.size(), qs[i]));
+        if (nth >= unplaced) {
+            if (nth + 1 == values.end()) {
+                std::iter_swap(nth, std::max_element(unplaced, values.end()));
+            } else {
+                std::nth_element(unplaced, nth, values.end());
+            }
+            unplaced = nth + 1;
+        }
+        out[i] = *nth;
     }
-    const double n = static_cast<double>(sorted.size());
-    const auto rank = static_cast<std::size_t>(std::ceil(q * n));
-    const std::size_t index = rank == 0 ? 0 : rank - 1;
-    return sorted[std::min(index, sorted.size() - 1)];
+    return out;
 }
 
 double median(linalg::Vector x) { return quantile(std::move(x), 0.5); }

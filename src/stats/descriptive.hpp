@@ -25,6 +25,12 @@ double quantile(linalg::Vector x, double q);
 /// engine's historical no-devices convention).
 double nearest_rank(const std::vector<double>& sorted, double q);
 
+/// Nearest-rank quantiles of an UNSORTED sample, one per entry of the
+/// non-decreasing `qs`, found by selection rather than a full sort: each
+/// result equals nearest_rank(sorted copy of values, q) exactly (q = 1 is
+/// the maximum). Reorders `values`. Every result is 0.0 on an empty sample.
+std::vector<double> nearest_ranks(std::vector<double>& values, const std::vector<double>& qs);
+
 double median(linalg::Vector x);
 
 /// Column-wise mean of a set of row-vectors.

@@ -1,6 +1,8 @@
 #include "stats/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <stdexcept>
 
 namespace drel::stats {
@@ -13,10 +15,79 @@ std::uint64_t splitmix64(std::uint64_t x) noexcept {
     return x ^ (x >> 31);
 }
 
+// Words ready after the first lazy step of the first block; each later step
+// doubles the ready prefix. A stream that takes only a few draws (most fleet
+// streams) stops after one step that seeds kFirstChunk + 156 words, and one
+// that drains the block takes eight steps.
+constexpr std::uint32_t kFirstChunk = 4;
+
 }  // namespace
 
-Rng Rng::fork(std::uint64_t tag) const {
-    return Rng(splitmix64(seed_ ^ splitmix64(tag + 0xA5A5A5A5A5A5A5A5ULL)));
+Rng::Mt19937_64& Rng::Mt19937_64::operator=(const Mt19937_64& other) noexcept {
+    if (this == &other) return *this;
+    seed_ = other.seed_;
+    filled_ = other.filled_;
+    ready_ = other.ready_;
+    pos_ = other.pos_;
+    std::copy_n(other.state_, filled_, state_);
+    return *this;
+}
+
+Rng::Mt19937_64::result_type Rng::Mt19937_64::operator()() noexcept {
+    if (pos_ == ready_) refill();
+    std::uint64_t z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+}
+
+void Rng::Mt19937_64::refill() noexcept {
+    if (ready_ == kWords) {
+        twist(0, kWords);
+        pos_ = 0;
+        return;
+    }
+    const std::uint32_t end = std::min(std::max(2 * ready_, kFirstChunk), kWords);
+    seed_through(std::min(end + kShift, kWords));
+    twist(ready_, end);
+    ready_ = end;
+}
+
+// std::mt19937_64's seeding recurrence, continued up to word `end`. Called
+// only while the first block is being built, so state_[filled_ - 1] is still
+// an untwisted seed word.
+void Rng::Mt19937_64::seed_through(std::uint32_t end) noexcept {
+    if (filled_ == 0) state_[filled_++] = seed_;
+    for (std::uint32_t i = filled_; i < end; ++i) {
+        const std::uint64_t prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+    filled_ = std::max(filled_, end);
+}
+
+// The in-place MT19937-64 twist of words [begin, end), in the same order as
+// the full-block twist, so any split into consecutive ranges produces the
+// same block.
+void Rng::Mt19937_64::twist(std::uint32_t begin, std::uint32_t end) noexcept {
+    constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+    constexpr std::uint64_t kLower = ~kUpper;
+    const auto mix = [](std::uint64_t far, std::uint64_t cur, std::uint64_t next) {
+        const std::uint64_t y = (cur & kUpper) | (next & kLower);
+        return far ^ (y >> 1) ^ ((y & 1U) != 0 ? 0xB5026F5AA96619E9ULL : 0);
+    };
+    std::uint32_t k = begin;
+    for (const std::uint32_t stop = std::min(end, kWords - kShift); k < stop; ++k) {
+        state_[k] = mix(state_[k + kShift], state_[k], state_[k + 1]);
+    }
+    for (const std::uint32_t stop = std::min(end, kWords - 1); k < stop; ++k) {
+        state_[k] = mix(state_[k + kShift - kWords], state_[k], state_[k + 1]);
+    }
+    if (k < end) state_[k] = mix(state_[kShift - 1], state_[k], state_[0]);
+}
+
+Rng Rng::fork(std::uint64_t tag) const noexcept {
+    return Rng(splitmix64(seed() ^ splitmix64(tag + 0xA5A5A5A5A5A5A5A5ULL)));
 }
 
 double Rng::uniform() {

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -636,6 +637,45 @@ TEST(ScaleFleet, ChaosRunDegradesGracefully) {
     }
     EXPECT_GT(crashed, 0u);
     EXPECT_GT(stragglers, 0u);
+}
+
+// The engine's round buffers and the shards' scratch are kept per thread
+// between runs. A run must not see what an earlier run on its thread left
+// there: a small churning run after a larger, faulty one (more devices,
+// wider thetas, other shards) reproduces the same run on a thread that never
+// ran the engine. Churn leaves slots unwritten, so a stale value would show.
+TEST(ScaleFleet, RunsSharingAThreadLeaveNoTrace) {
+    ScaleFleetConfig small;
+    small.devices_per_round = 300;
+    small.rounds = 3;
+    small.feature_dim = 3;
+    small.num_modes = 3;
+    small.num_threads = 1;  // every shard round runs on the calling thread
+    small.num_shards = 3;
+    small.membership.churn = ChurnConfig::uniform(0.1);
+    small.membership.initial_members = 250;
+    ScaleFleetConfig large = small;
+    large.devices_per_round = 1000;
+    large.feature_dim = 6;
+    large.num_shards = 2;
+    large.faults = FaultConfig::uniform(0.2);
+    large.membership = MembershipConfig{};
+
+    const auto last_run_on_new_thread = [](const std::vector<ScaleFleetConfig>& configs) {
+        ScaleFleetReport last;
+        std::thread([&] {
+            for (const ScaleFleetConfig& config : configs) {
+                stats::Rng rng(321);
+                last = run_scale_fleet(config, rng);
+            }
+        }).join();
+        return last;
+    };
+    const ScaleFleetReport fresh = last_run_on_new_thread({small});
+    const ScaleFleetReport after_large = last_run_on_new_thread({large, small});
+    expect_reports_identical(fresh.engine, after_large.engine);
+    EXPECT_TRUE(bits_equal(fresh.mode_recovery_rate, after_large.mode_recovery_rate));
+    EXPECT_EQ(telemetry_fingerprint(fresh.engine), telemetry_fingerprint(after_large.engine));
 }
 
 }  // namespace

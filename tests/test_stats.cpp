@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "stats/descriptive.hpp"
@@ -263,6 +265,41 @@ TEST(Descriptive, NearestRankPicksTheCeilRankElement) {
     EXPECT_DOUBLE_EQ(nearest_rank({}, 0.5), 0.0);
     EXPECT_THROW(nearest_rank(sorted, -0.1), std::invalid_argument);
     EXPECT_THROW(nearest_rank(sorted, 1.1), std::invalid_argument);
+}
+
+TEST(Descriptive, NearestRanksBySelectionEqualSortedNearestRank) {
+    const std::vector<double> qs = {0.0, 0.5, 0.5, 0.99, 0.999, 1.0};
+    Rng rng(91);
+    const auto check = [&qs](const std::vector<double>& sample) {
+        std::vector<double> sorted = sample;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<double> scratch = sample;
+        const std::vector<double> got = nearest_ranks(scratch, qs);
+        ASSERT_EQ(got.size(), qs.size());
+        for (std::size_t i = 0; i < qs.size(); ++i) {
+            EXPECT_EQ(got[i], nearest_rank(sorted, qs[i]))
+                << "n = " << sample.size() << ", q = " << qs[i];
+        }
+        std::sort(scratch.begin(), scratch.end());
+        EXPECT_EQ(scratch, sorted);  // a reordering, nothing lost
+    };
+    for (const std::size_t n : std::vector<std::size_t>{0, 1, 2, 1000}) {
+        std::vector<double> sample(n);
+        for (double& v : sample) v = rng.normal();
+        check(sample);
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> sample(1 + rng.uniform_index(3000));
+        // Half the trials draw from a handful of values: heavy ties.
+        const bool ties = trial % 2 == 1;
+        for (double& v : sample) {
+            v = ties ? static_cast<double>(rng.uniform_index(4)) : rng.exponential(2.0);
+        }
+        check(sample);
+    }
+    std::vector<double> sample = {3.0, 1.0, 2.0};
+    EXPECT_THROW(nearest_ranks(sample, {0.9, 0.5}), std::invalid_argument);
+    EXPECT_THROW(nearest_ranks(sample, {1.5}), std::invalid_argument);
 }
 
 TEST(Descriptive, RunningStatsMatchesBatch) {
