@@ -36,6 +36,15 @@
 # state is copied word-by-word up to its built prefix, and ASan should watch
 # those copies and the chunked first-block twist index arithmetic.
 #
+# The evaluate-once differential suites ride in both builds as well
+# (test_optim: LineSearchAccepted, LbfgsEvalReuse; test_dp: FusedSurrogate,
+# GibbsMeanCache; test_core: EmDro.ObjectiveMonotone*, EmDro.TraceTerms*):
+# the Gibbs sampler keeps per-cluster cached mean vectors that move on
+# compaction, and the line search hands its probe gradient over by move — a stale or moved-from
+# vector read is exactly what ASan should catch. The lifecycle suite
+# (test_lifecycle) rides along because the cloud's bootstrap contributor
+# fits run on the shared executor, checked at 2 and 4 threads.
+#
 # Usage: scripts/check_sanitizers.sh [jobs]
 set -euo pipefail
 
@@ -53,7 +62,8 @@ for sanitizer in thread address; do
                  test_membership test_membership_stats \
                  test_linalg_property test_dro_invariants \
                  test_simd_dispatch test_sampling_stats test_obs \
-                 test_streaming_posterior test_transfer_v2 test_rng > /dev/null
+                 test_streaming_posterior test_transfer_v2 test_rng \
+                 test_optim test_dp test_core test_lifecycle > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -61,7 +71,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -61,16 +61,15 @@ class MStepObjective final : public optim::Objective {
     double eval(const linalg::Vector& theta, linalg::Vector* grad) const override {
         util::Workspace& ws = util::Workspace::local();
         double value = robust_.eval(theta, grad);
-        value -= weight_ * prior_.em_surrogate_ws(theta, r_, ws);
-        if (grad) {
-            // Accumulate the surrogate gradient in leased scratch, then fold
-            // it in with one axpy — the same two-stage order (and bits) as
-            // axpy(-w, em_surrogate_gradient(theta, r), grad), minus the
-            // allocation per L-BFGS line-search probe.
-            auto g = ws.vec(dim());
-            prior_.em_surrogate_gradient_into(theta, r_, *g, ws);
-            linalg::axpy_n(-weight_, g->data(), grad->data(), dim());
-        }
+        // One fused prior pass: the surrogate gradient accumulates in leased
+        // scratch and folds in with one axpy — the same two-stage order (and
+        // bits) as axpy(-w, em_surrogate_gradient(theta, r), grad), minus
+        // the allocation and the second whitening solve per probe.
+        DREL_PROFILE_SCOPE("em.m_step.log_prior");
+        auto g = ws.vec(dim());
+        value -= weight_ * prior_.em_surrogate_with_gradient_ws(theta, r_,
+                                                                grad ? &*g : nullptr, ws);
+        if (grad) linalg::axpy_n(-weight_, g->data(), grad->data(), dim());
         return value;
     }
 
@@ -136,7 +135,12 @@ EmDroResult EmDroSolver::solve_from(const linalg::Vector& theta0) const {
     DREL_PROFILE_SCOPE("em.solve_from");
     EmDroResult result;
     result.theta = theta0;
-    double current = objective(result.theta);
+    // F's two terms at the current iterate, each evaluated once: the trace
+    // records them and the next outer iteration compares against their
+    // combination, which is objective(theta) to the bit.
+    double current_loss = robust().value(result.theta);
+    double current_log_prior = prior_->log_pdf(result.theta);
+    double current = current_loss - weight_ * current_log_prior;
     // Non-finite states (degenerate prior atoms, overflowing losses) end the
     // solve at the last finite iterate with hit_non_finite set — a reported
     // degradation, never a throw (see DESIGN.md "Fault model").
@@ -158,8 +162,8 @@ EmDroResult EmDroSolver::solve_from(const linalg::Vector& theta0) const {
         }();
 
         result.trace.objective.push_back(current);
-        result.trace.robust_loss.push_back(robust().value(result.theta));
-        result.trace.log_prior.push_back(prior_->log_pdf(result.theta));
+        result.trace.robust_loss.push_back(current_loss);
+        result.trace.log_prior.push_back(current_log_prior);
         result.trace.responsibility_entropy.push_back(entropy(r));
 
         // M-step: convex, solved by L-BFGS from the current iterate.
@@ -169,7 +173,9 @@ EmDroResult EmDroSolver::solve_from(const linalg::Vector& theta0) const {
             return optim::minimize_lbfgs(m_step, result.theta, options_.m_step);
         }();
 
-        const double next = objective(inner.x);
+        const double next_loss = robust().value(inner.x);
+        const double next_log_prior = prior_->log_pdf(inner.x);
+        const double next = next_loss - weight_ * next_log_prior;
         result.trace.outer_iterations = it + 1;
         if (!std::isfinite(next) || !vector_is_finite(inner.x)) {
             non_finite_states().add(1);
@@ -185,6 +191,8 @@ EmDroResult EmDroSolver::solve_from(const linalg::Vector& theta0) const {
         const double decrease = current - next;
         result.theta = inner.x;
         current = next;
+        current_loss = next_loss;
+        current_log_prior = next_log_prior;
         if (decrease <= options_.objective_tolerance * (std::fabs(current) + 1.0)) {
             result.trace.converged = true;
             break;

@@ -93,8 +93,25 @@ class DpmmGibbs {
  private:
     /// Predictive log-density of x for a cluster with `count` members
     /// summing to `sum`; count==0 gives the base predictive N(m0, S0+Sw).
+    /// The uncached path: log_joint's partial-sum chain uses it.
     double predictive_log_pdf(const linalg::Vector& x, std::size_t count,
                               const linalg::Vector& sum) const;
+
+    /// Predictive log-density of x given the predictive mean of a cluster
+    /// with `count` members (base_mean for count==0).
+    double predictive_log_pdf_at(const linalg::Vector& x, std::size_t count,
+                                 const linalg::Vector& mean) const;
+
+    /// mean = Lambda(count)^{-1} (S0^{-1} m0 + Sw^{-1} sum), count >= 1.
+    void predictive_mean_into(std::size_t count, const linalg::Vector& sum,
+                              linalg::Vector& mean) const;
+
+    /// Recomputes means_[k] from counts_[k] and sums_[k].
+    void refresh_mean(std::size_t k);
+
+    /// Log-weights of every existing cluster and a new one for observation
+    /// j (already removed), then one alias draw: the chosen cluster index.
+    std::size_t draw_assignment(std::size_t j, stats::Rng& rng);
 
     /// Posterior (mean, covariance) of mu for a cluster.
     void posterior_of_mean(std::size_t count, const linalg::Vector& sum,
@@ -133,6 +150,16 @@ class DpmmGibbs {
     std::vector<std::size_t> assignments_;
     std::vector<std::size_t> counts_;          ///< per-cluster member count
     std::vector<linalg::Vector> sums_;         ///< per-cluster member sum
+
+    // Sweep caches (DESIGN.md "Evaluate-once contracts"). means_[k] is always
+    // predictive_mean_into(counts_[k], sums_[k]): refreshed whenever a
+    // cluster's count or sum changes, moved with its cluster on compaction,
+    // rebuilt with counts/sums in run()'s MAP restore. A reassignment thus
+    // touches two means instead of recomputing all K per observation.
+    // base_log_pdf_[j] is observation j's base predictive log-density,
+    // which depends only on the immutable config.
+    std::vector<linalg::Vector> means_;
+    std::vector<double> base_log_pdf_;
 
     /// Lazily filled, indexed by count. Mutable: filling it is a pure
     /// memoization of deterministic factorizations. Not thread-safe, like

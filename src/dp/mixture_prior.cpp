@@ -94,38 +94,39 @@ double MixturePrior::em_surrogate(const linalg::Vector& theta, const linalg::Vec
 
 double MixturePrior::em_surrogate_ws(const linalg::Vector& theta, const linalg::Vector& r,
                                      util::Workspace& ws) const {
-    em_surrogate_evals().add(1);
-    if (r.size() != num_components()) {
-        throw std::invalid_argument("MixturePrior::em_surrogate: responsibility size mismatch");
-    }
-    double acc = 0.0;
-    for (std::size_t k = 0; k < num_components(); ++k) {
-        if (r[k] == 0.0) continue;
-        acc += r[k] * (log_weights_[k] + atoms_[k].log_pdf_ws(theta, ws));
-    }
-    return acc;
+    return em_surrogate_with_gradient_ws(theta, r, nullptr, ws);
 }
 
 linalg::Vector MixturePrior::em_surrogate_gradient(const linalg::Vector& theta,
                                                    const linalg::Vector& r) const {
     linalg::Vector grad;
-    em_surrogate_gradient_into(theta, r, grad, util::Workspace::local());
+    surrogate_pass(theta, r, &grad, util::Workspace::local());
     return grad;
 }
 
-void MixturePrior::em_surrogate_gradient_into(const linalg::Vector& theta,
-                                              const linalg::Vector& r, linalg::Vector& grad,
-                                              util::Workspace& ws) const {
+double MixturePrior::em_surrogate_with_gradient_ws(const linalg::Vector& theta,
+                                                   const linalg::Vector& r,
+                                                   linalg::Vector* grad,
+                                                   util::Workspace& ws) const {
+    em_surrogate_evals().add(1);
+    return surrogate_pass(theta, r, grad, ws);
+}
+
+double MixturePrior::surrogate_pass(const linalg::Vector& theta, const linalg::Vector& r,
+                                    linalg::Vector* grad, util::Workspace& ws) const {
     if (r.size() != num_components()) {
-        throw std::invalid_argument(
-            "MixturePrior::em_surrogate_gradient: responsibility size mismatch");
+        throw std::invalid_argument("MixturePrior::em_surrogate: responsibility size mismatch");
     }
-    grad.assign(dim(), 0.0);
+    if (grad) grad->assign(dim(), 0.0);
+    double acc = 0.0;
     for (std::size_t k = 0; k < num_components(); ++k) {
         if (r[k] == 0.0) continue;
         // d/dtheta log N = -Sigma^{-1}(theta - mu)
-        atoms_[k].add_scaled_precision_residual(theta, -r[k], grad, ws);
+        const double log_pdf =
+            atoms_[k].log_pdf_add_scaled_precision_residual(theta, -r[k], grad, ws);
+        acc += r[k] * (log_weights_[k] + log_pdf);
     }
+    return acc;
 }
 
 linalg::Vector MixturePrior::mean() const {

@@ -62,8 +62,12 @@ class MixturePrior {
                                util::Workspace& ws) const;
     double em_surrogate_ws(const linalg::Vector& theta, const linalg::Vector& r,
                            util::Workspace& ws) const;
-    void em_surrogate_gradient_into(const linalg::Vector& theta, const linalg::Vector& r,
-                                    linalg::Vector& grad, util::Workspace& ws) const;
+
+    /// em_surrogate_ws(theta, r) and, when `grad` is non-null, overwrites it
+    /// with em_surrogate_gradient(theta, r) in the same pass: one whitening
+    /// solve per atom serves both, and the call counts as one surrogate eval.
+    double em_surrogate_with_gradient_ws(const linalg::Vector& theta, const linalg::Vector& r,
+                                         linalg::Vector* grad, util::Workspace& ws) const;
 
     /// Mixture mean sum_k pi_k mu_k.
     linalg::Vector mean() const;
@@ -82,6 +86,11 @@ class MixturePrior {
     linalg::Vector weights_;
     linalg::Vector log_weights_;  // log(pi_k), cached once after normalization
     std::vector<stats::MultivariateNormal> atoms_;
+
+    // The one loop over the atoms behind every surrogate value and gradient;
+    // counts nothing (callers decide what is an eval).
+    double surrogate_pass(const linalg::Vector& theta, const linalg::Vector& r,
+                          linalg::Vector* grad, util::Workspace& ws) const;
 };
 
 }  // namespace drel::dp

@@ -8,6 +8,7 @@
 #include "dro/robust_objective.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/executor.hpp"
+#include "util/workspace.hpp"
 
 namespace drel::edgesim {
 namespace {
@@ -40,11 +41,11 @@ class PriorSurrogateObjective final : public optim::Objective {
     std::size_t dim() const override { return prior_.dim(); }
 
     double eval(const linalg::Vector& theta, linalg::Vector* grad) const override {
-        const double value = -weight_ * prior_.em_surrogate(theta, r_);
-        if (grad) {
-            *grad = prior_.em_surrogate_gradient(theta, r_);
-            linalg::scale(*grad, -weight_);
-        }
+        // One fused pass: value and gradient share each atom's whitening solve.
+        const double value =
+            -weight_ * prior_.em_surrogate_with_gradient_ws(theta, r_, grad,
+                                                            util::Workspace::local());
+        if (grad) linalg::scale(*grad, -weight_);
         return value;
     }
 

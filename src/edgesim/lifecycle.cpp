@@ -18,6 +18,7 @@
 #include "obs/profiler.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/descriptive.hpp"
+#include "util/executor.hpp"
 
 namespace drel::edgesim {
 namespace {
@@ -89,15 +90,18 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
         population_with_modes(base_modes);
 
     // --- Cloud bootstrap: contributors from the pre-novel population. ---
-    stats::Rng contributor_rng = rng.fork(2);
-    std::vector<linalg::Vector> thetas;
-    for (std::size_t j = 0; j < config.initial_contributors; ++j) {
+    // Each contributor draws only from its own fork(j) stream and writes its
+    // own slot, so the fits run concurrently and the result is independent
+    // of thread count and completion order.
+    const stats::Rng contributor_rng = rng.fork(2);
+    std::vector<linalg::Vector> thetas(config.initial_contributors);
+    util::parallel_for(config.initial_contributors, config.num_threads, [&](std::size_t j) {
         stats::Rng device_rng = contributor_rng.fork(j);
         const data::TaskSpec task = pre_population.sample_task(device_rng);
-        thetas.push_back(fit_theta(
+        thetas[j] = fit_theta(
             pre_population.generate(task, config.contributor_samples, device_rng, options),
-            *loss));
-    }
+            *loss);
+    });
     const std::size_t d = thetas.front().size();
     dp::DpmmConfig dpmm;
     dpmm.alpha = config.dp_alpha;

@@ -68,17 +68,20 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
         const double init_step = history.empty()
                                      ? 1.0 / std::max(1.0, linalg::norm2(grad))
                                      : 1.0;
-        const LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction,
-                                                 init_step, options.c1, options.c2);
+        LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction, init_step,
+                                           options.c1, options.c2);
         if (!ls.success) {
             result.message = "line search failed";
             break;
         }
 
+        // The accepted probe was evaluated at exactly this point (copy +
+        // axpy is the line search's own advance), so its value and gradient
+        // are the new iterate's: no second eval.
         linalg::Vector x_new = result.x;
         linalg::axpy(ls.step, direction, x_new);
-        linalg::Vector grad_new;
-        const double f_new = objective.eval(x_new, &grad_new);
+        linalg::Vector grad_new = std::move(ls.gradient);
+        const double f_new = ls.value;
 
         Correction c;
         c.s = linalg::sub(x_new, result.x);

@@ -1,6 +1,7 @@
 #include "optim/line_search.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace drel::optim {
 namespace {
@@ -44,12 +45,22 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
     const double slope0 = linalg::dot(grad, direction);
     if (!(slope0 < 0.0)) return result;
 
+    // The latest probe's gradient. Cleared before every eval, so each probe
+    // starts from an empty vector exactly as a fresh one would.
+    linalg::Vector g;
     auto phi = [&](double t, double* dphi) {
-        linalg::Vector g;
+        g.clear();
         const double f = objective.eval(advance(x, t, direction), &g);
         ++result.evaluations;
         if (dphi) *dphi = linalg::dot(g, direction);
         return f;
+    };
+    // Every acceptance is of the probe phi just evaluated.
+    auto accept = [&](double t, double f_t) {
+        result.step = t;
+        result.value = f_t;
+        result.gradient = std::move(g);
+        result.success = true;
     };
 
     // Zoom stage (Nocedal & Wright algorithm 3.6): bisection-based.
@@ -62,9 +73,7 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
                 hi = t;
             } else {
                 if (std::fabs(dphi_t) <= -c2 * slope0) {
-                    result.step = t;
-                    result.value = f_t;
-                    result.success = true;
+                    accept(t, f_t);
                     return true;
                 }
                 if (dphi_t * (hi - lo) >= 0.0) hi = lo;
@@ -78,9 +87,7 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
         double dphi_lo = 0.0;
         const double f_final = phi(lo, &dphi_lo);
         if (lo > 0.0 && std::isfinite(f_final) && f_final <= fx + c1 * lo * slope0) {
-            result.step = lo;
-            result.value = f_final;
-            result.success = true;
+            accept(lo, f_final);
             return true;
         }
         return false;
@@ -98,9 +105,7 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
             return result;
         }
         if (std::fabs(dphi_t) <= -c2 * slope0) {
-            result.step = t;
-            result.value = f_t;
-            result.success = true;
+            accept(t, f_t);
             return result;
         }
         if (dphi_t >= 0.0) {

@@ -8,6 +8,9 @@ namespace drel::optim {
 struct LineSearchResult {
     double step = 0.0;
     double value = 0.0;       ///< f(x + step * direction)
+    /// ∇f(x + step * direction), from the probe that was accepted
+    /// (strong_wolfe only; backtracking_armijo evaluates values alone).
+    linalg::Vector gradient;
     int evaluations = 0;
     bool success = false;
 };
@@ -24,7 +27,10 @@ LineSearchResult backtracking_armijo(const Objective& objective, const linalg::V
 
 /// Strong-Wolfe search (Nocedal & Wright alg. 3.5/3.6) used by L-BFGS.
 /// Satisfies the Armijo condition with c1 and the curvature condition
-/// |<grad(x+td), d>| <= c2 |<grad(x), d>|.
+/// |<grad(x+td), d>| <= c2 |<grad(x), d>|. On success `value` and
+/// `gradient` are the accepted probe's own eval at exactly
+/// advance(x, step, d) = copy of x + axpy(step, d), so a caller forming the
+/// new iterate the same way needs no further evaluation.
 LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& x, double fx,
                               const linalg::Vector& grad, const linalg::Vector& direction,
                               double initial_step = 1.0, double c1 = 1e-4, double c2 = 0.9,

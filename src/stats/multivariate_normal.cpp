@@ -83,17 +83,23 @@ linalg::Vector MultivariateNormal::precision_times_residual(const linalg::Vector
     return out;
 }
 
-void MultivariateNormal::add_scaled_precision_residual(const linalg::Vector& x, double coeff,
-                                                       linalg::Vector& out,
-                                                       util::Workspace& ws) const {
-    if (x.size() != dim() || out.size() != dim()) {
+double MultivariateNormal::log_pdf_add_scaled_precision_residual(const linalg::Vector& x,
+                                                                 double coeff,
+                                                                 linalg::Vector* out,
+                                                                 util::Workspace& ws) const {
+    if (x.size() != dim() || (out && out->size() != dim())) {
         throw std::invalid_argument(
-            "MultivariateNormal::add_scaled_precision_residual: dimension mismatch");
+            "MultivariateNormal::log_pdf_add_scaled_precision_residual: dimension mismatch");
     }
-    auto r = ws.vec(dim());
-    linalg::sub_into(x, mean_, *r);
-    chol_.solve_in_place(*r);
-    linalg::axpy_n(coeff, r->data(), out.data(), dim());
+    auto z = ws.vec(dim());
+    linalg::sub_into(x, mean_, *z);
+    chol_.solve_lower_in_place(*z);
+    const double quad = linalg::dot_n(z->data(), z->data(), dim());
+    if (out) {
+        chol_.solve_upper_in_place(*z);
+        linalg::axpy_n(coeff, z->data(), out->data(), dim());
+    }
+    return -0.5 * (static_cast<double>(dim()) * kLogTwoPi + log_det_ + quad);
 }
 
 linalg::Vector MultivariateNormal::sample(Rng& rng) const {

@@ -51,10 +51,15 @@ class MultivariateNormal {
     double log_pdf_ws(const linalg::Vector& x, util::Workspace& ws) const;
     double mahalanobis_sq_ws(const linalg::Vector& x, util::Workspace& ws) const;
 
-    /// out += coeff * Σ⁻¹ (x - mean), scratch from `ws`. Bit-identical to
-    /// axpy(coeff, precision_times_residual(x), out).
-    void add_scaled_precision_residual(const linalg::Vector& x, double coeff,
-                                       linalg::Vector& out, util::Workspace& ws) const;
+    /// log N(x) and, when `out` is non-null, out += coeff * Σ⁻¹ (x - mean),
+    /// sharing one whitening solve z = L⁻¹ (x - mean): the value takes z·z
+    /// (bit-identical to log_pdf_ws), the gradient finishes with
+    /// Lᵀ-back-substitution on z (bit-identical to
+    /// axpy(coeff, precision_times_residual(x), out), because
+    /// Cholesky::solve_in_place is exactly lower-then-upper).
+    double log_pdf_add_scaled_precision_residual(const linalg::Vector& x, double coeff,
+                                                 linalg::Vector* out,
+                                                 util::Workspace& ws) const;
 
     linalg::Vector sample(Rng& rng) const;
 

@@ -231,9 +231,9 @@ TEST(WorkspaceKernels, ReusedArenaBitIdenticalToFreshAllocation) {
         linalg::Vector g_reused;
         {
             util::Workspace fresh2;
-            fixture.prior.em_surrogate_gradient_into(theta, r, g_fresh, fresh2);
+            fixture.prior.em_surrogate_with_gradient_ws(theta, r, &g_fresh, fresh2);
         }
-        fixture.prior.em_surrogate_gradient_into(theta, r, g_reused, reused);
+        fixture.prior.em_surrogate_with_gradient_ws(theta, r, &g_reused, reused);
         ASSERT_EQ(g_fresh.size(), g_reused.size());
         for (std::size_t d = 0; d < g_fresh.size(); ++d) {
             EXPECT_TRUE(bits_equal(g_fresh[d], g_reused[d]))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/edge_learner.hpp"
 #include "core/em_dro.hpp"
@@ -25,6 +26,20 @@ Fixture make_fixture(std::uint64_t seed, std::size_t n_train = 16) {
 
 // ----------------------------------------------------------------- EM-DRO
 
+/// The fixture's population modes under broad, overlapping atoms of
+/// unequal weight: responsibilities keep shifting between outer
+/// iterations, so EM runs for many steps (the tight oracle prior settles
+/// in two).
+dp::MixturePrior broad_prior(const Fixture& f, double variance) {
+    linalg::Vector weights;
+    std::vector<stats::MultivariateNormal> atoms;
+    for (std::size_t k = 0; k < f.prior.num_components(); ++k) {
+        weights.push_back(1.0 + static_cast<double>(k));
+        atoms.push_back(stats::MultivariateNormal::isotropic(f.prior.atom(k).mean(), variance));
+    }
+    return dp::MixturePrior(std::move(weights), std::move(atoms));
+}
+
 TEST(EmDro, ObjectiveMonotoneNonIncreasing) {
     const Fixture f = make_fixture(1);
     const auto loss = models::make_logistic_loss();
@@ -34,6 +49,33 @@ TEST(EmDro, ObjectiveMonotoneNonIncreasing) {
     ASSERT_GE(r.trace.objective.size(), 2u);
     for (std::size_t i = 1; i < r.trace.objective.size(); ++i) {
         EXPECT_LE(r.trace.objective[i], r.trace.objective[i - 1] + 1e-8) << "iteration " << i;
+    }
+
+    // Across seeds, under broad priors that keep EM moving: every M-step
+    // output lowers F within the loop's slack 1e-10 (|F| + 1). The trace
+    // alone cannot show this — it records only accepted iterates — so the
+    // decrease stop rule is switched off: the loop can then end early only
+    // through its rise guard (which sets `converged`), and a full-length,
+    // unconverged run proves the guard never fired.
+    EmDroOptions no_stop_rule;
+    no_stop_rule.max_outer_iterations = 12;
+    no_stop_rule.objective_tolerance = -std::numeric_limits<double>::infinity();
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+        const Fixture g = test_support::make_population_fixture(100 + seed, 12, 1);
+        const dp::MixturePrior prior = broad_prior(g, 1.0 + 0.5 * static_cast<double>(seed % 4));
+        const double radius = 0.02 * static_cast<double>(1 + seed % 5);
+        const EmDroSolver long_run(g.train, *loss, prior, dro::AmbiguitySet::wasserstein(radius),
+                                   2.0 + static_cast<double>(seed % 4), no_stop_rule);
+        const EmDroResult run = long_run.solve_from(prior.mean());
+        ASSERT_FALSE(run.hit_non_finite) << "seed " << seed;
+        EXPECT_FALSE(run.trace.converged) << "seed " << seed << ": an M-step raised F";
+        EXPECT_EQ(run.trace.outer_iterations, no_stop_rule.max_outer_iterations)
+            << "seed " << seed;
+        for (std::size_t i = 1; i < run.trace.objective.size(); ++i) {
+            const double prev = run.trace.objective[i - 1];
+            EXPECT_LE(run.trace.objective[i], prev + 1e-10 * (std::fabs(prev) + 1.0))
+                << "seed " << seed << " iteration " << i;
+        }
     }
 }
 
@@ -112,6 +154,41 @@ TEST(EmDro, TraceFieldsConsistent) {
     for (std::size_t i = 0; i < r.trace.robust_loss.size(); ++i) {
         EXPECT_NEAR(r.trace.objective[i],
                     r.trace.robust_loss[i] - w * r.trace.log_prior[i], 1e-9);
+    }
+}
+
+// The trace reuses each iterate's robust loss and log-prior instead of
+// evaluating them twice; every entry must equal a fresh evaluation at the
+// same iterate. theta_i is the result of the same solve capped at i outer
+// iterations (EM is deterministic, and every iteration before the last
+// recorded one was accepted).
+TEST(EmDro, TraceTermsMatchFreshRecomputation) {
+    const auto loss = models::make_logistic_loss();
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+        const Fixture f = test_support::make_population_fixture(200 + seed, 12, 1);
+        const dp::MixturePrior prior = broad_prior(f, 1.0 + 0.5 * static_cast<double>(seed % 3));
+        const dro::AmbiguitySet set = dro::AmbiguitySet::wasserstein(0.05);
+        const auto robust = dro::make_robust_objective(f.train, *loss, set);
+        const double weight = 2.0 + static_cast<double>(seed % 3);
+        const EmDroSolver solver(f.train, *loss, prior, set, weight);
+        const linalg::Vector start = prior.mean();
+        const EmDroResult r = solver.solve_from(start);
+        const double w = solver.transfer_weight_scaled();
+        ASSERT_EQ(r.trace.robust_loss.size(), static_cast<std::size_t>(r.trace.outer_iterations));
+        for (std::size_t i = 0; i < r.trace.robust_loss.size(); ++i) {
+            EmDroOptions capped;
+            capped.max_outer_iterations = static_cast<int>(i);
+            const EmDroSolver prefix(f.train, *loss, prior, set, weight, capped);
+            const linalg::Vector theta_i = prefix.solve_from(start).theta;
+            const double loss_i = robust->value(theta_i);
+            const double log_prior_i = prior.log_pdf(theta_i);
+            EXPECT_EQ(r.trace.robust_loss[i], loss_i) << "seed " << seed << " iter " << i;
+            EXPECT_EQ(r.trace.log_prior[i], log_prior_i) << "seed " << seed << " iter " << i;
+            EXPECT_EQ(r.trace.objective[i], loss_i - w * log_prior_i)
+                << "seed " << seed << " iter " << i;
+            EXPECT_EQ(r.trace.objective[i], solver.objective(theta_i));
+        }
+        EXPECT_EQ(r.objective, solver.objective(r.theta)) << "seed " << seed;
     }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 #include <set>
 
 #include "dp/crp.hpp"
@@ -8,6 +10,8 @@
 #include "dp/dpmm_variational.hpp"
 #include "dp/mixture_prior.hpp"
 #include "dp/stick_breaking.hpp"
+#include "obs/metrics.hpp"
+#include "stats/alias_table.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
@@ -239,6 +243,73 @@ TEST(MixturePrior, Validation) {
     EXPECT_THROW(MixturePrior({-1.0}, std::move(atoms2)), std::invalid_argument);
 }
 
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// A random full-covariance mixture in `dim` dimensions.
+MixturePrior random_prior(std::size_t dim, std::size_t atoms, stats::Rng& rng) {
+    linalg::Vector weights;
+    std::vector<stats::MultivariateNormal> components;
+    for (std::size_t k = 0; k < atoms; ++k) {
+        linalg::Matrix m(dim, dim);
+        for (std::size_t r = 0; r < dim; ++r) {
+            for (std::size_t c = 0; c < dim; ++c) m(r, c) = rng.normal();
+        }
+        linalg::Matrix cov = m.matmul(m.transposed());
+        cov.add_diagonal(0.5);
+        weights.push_back(0.2 + rng.uniform());
+        components.emplace_back(linalg::scaled(rng.standard_normal_vector(dim), 3.0),
+                                std::move(cov));
+    }
+    return MixturePrior(std::move(weights), std::move(components));
+}
+
+// The fused prior pass must reproduce the textbook two passes bit for bit —
+// value from each atom's log_pdf, gradient from each atom's
+// precision_times_residual — including atoms whose responsibility is
+// exactly zero (both skip them), and count as one surrogate eval.
+TEST(FusedSurrogate, BitEqualToSeparateValueAndGradientPasses) {
+    const obs::ScopedMetricsEnabledForTesting metrics_on(true);
+    obs::Counter& evals = obs::Registry::global().counter("dp.em_surrogate_evals");
+    util::Workspace ws;
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        stats::Rng rng(700 + seed);
+        const std::size_t dim = 1 + seed % 7;
+        const std::size_t atoms = 1 + seed % 5;
+        const MixturePrior prior = random_prior(dim, atoms, rng);
+        const linalg::Vector theta = linalg::scaled(rng.standard_normal_vector(dim), 2.0);
+        linalg::Vector r = prior.responsibilities(theta);
+        // Zero out a pseudo-random subset of responsibilities.
+        for (std::size_t k = 0; k < atoms; ++k) {
+            if (rng.uniform() < 0.3) r[k] = 0.0;
+        }
+
+        double value = 0.0;
+        linalg::Vector grad = linalg::zeros(dim);
+        for (std::size_t k = 0; k < atoms; ++k) {
+            if (r[k] == 0.0) continue;
+            const stats::MultivariateNormal& atom = prior.atom(k);
+            value += r[k] * (std::log(prior.weights()[k]) + atom.log_pdf(theta));
+            linalg::axpy(-r[k], atom.precision_times_residual(theta), grad);
+        }
+
+        const std::uint64_t before = evals.total();
+        linalg::Vector fused_grad = rng.standard_normal_vector(dim + 1);  // stale contents
+        const double fused = prior.em_surrogate_with_gradient_ws(theta, r, &fused_grad, ws);
+        EXPECT_EQ(evals.total(), before + 1);
+        EXPECT_TRUE(same_bits(fused, value)) << "seed " << seed;
+        EXPECT_TRUE(same_bits(fused_grad, grad)) << "seed " << seed;
+        EXPECT_TRUE(same_bits(prior.em_surrogate_with_gradient_ws(theta, r, nullptr, ws), value));
+        EXPECT_TRUE(same_bits(prior.em_surrogate_ws(theta, r, ws), value));
+        EXPECT_TRUE(same_bits(prior.em_surrogate_gradient(theta, r), grad));
+        EXPECT_EQ(ws.depth(), 0u);
+    }
+}
+
 // ------------------------------------------------------------- DPMM fixture
 
 /// Three well-separated 2-D clusters of "device parameters".
@@ -347,6 +418,311 @@ TEST(DpmmGibbs, Validation) {
     EXPECT_THROW(DpmmGibbs({{1.0, 2.0}}, bad), std::invalid_argument);
     DpmmConfig mismatched = dpmm_config();
     EXPECT_THROW(DpmmGibbs({{1.0, 2.0, 3.0}}, mismatched), std::invalid_argument);
+}
+
+// ------------------------------------------------- DPMM Gibbs mean cache
+
+/// The collapsed Gibbs sampler without DpmmGibbs's sweep caches: every
+/// predictive density recomputes its cluster's posterior mean from (count,
+/// sum), and the base predictive is re-evaluated for every observation.
+/// Same draws and same arithmetic, so DpmmGibbs must match it bit for bit.
+/// Also counts the cluster compactions it performs, so the differential
+/// test can prove it exercised them.
+class UncachedGibbs {
+ public:
+    UncachedGibbs(std::vector<linalg::Vector> observations, DpmmConfig config)
+        : obs_(std::move(observations)), config_(std::move(config)), dim_(obs_.front().size()) {
+        base_precision_ = linalg::Cholesky::factor_with_jitter(config_.base_covariance).inverse();
+        within_precision_ =
+            linalg::Cholesky::factor_with_jitter(config_.within_covariance).inverse();
+        base_precision_m0_ = base_precision_.matvec(config_.base_mean);
+        assignments_.assign(obs_.size(), 0);
+        counts_.assign(1, obs_.size());
+        linalg::Vector total = linalg::zeros(dim_);
+        for (const auto& o : obs_) linalg::axpy(1.0, o, total);
+        sums_.assign(1, total);
+    }
+
+    const std::vector<std::size_t>& assignments() const noexcept { return assignments_; }
+    double alpha() const noexcept { return config_.alpha; }
+    std::size_t compactions() const noexcept { return compactions_; }
+
+    void sweep(stats::Rng& rng) {
+        for (std::size_t j = 0; j < obs_.size(); ++j) {
+            remove(j);
+            insert(j, draw(j, rng));
+        }
+        if (config_.resample_alpha) resample_alpha(rng);
+    }
+
+    void add_observation(linalg::Vector theta, stats::Rng& rng, int refresh_sweeps) {
+        obs_.push_back(std::move(theta));
+        assignments_.push_back(0);
+        const std::size_t j = obs_.size() - 1;
+        insert(j, draw(j, rng));
+        for (int s = 0; s < refresh_sweeps; ++s) sweep(rng);
+    }
+
+    void run(stats::Rng& rng) {
+        std::vector<std::size_t> best = assignments_;
+        double best_lj = log_joint();
+        double best_alpha = config_.alpha;
+        for (int s = 0; s < config_.num_sweeps; ++s) {
+            sweep(rng);
+            const double lj = log_joint();
+            if (lj > best_lj) {
+                best_lj = lj;
+                best = assignments_;
+                best_alpha = config_.alpha;
+            }
+        }
+        config_.alpha = best_alpha;
+        const std::size_t k = count_clusters(best);
+        assignments_ = std::move(best);
+        counts_.assign(k, 0);
+        sums_.assign(k, linalg::zeros(dim_));
+        for (std::size_t j = 0; j < obs_.size(); ++j) {
+            counts_[assignments_[j]] += 1;
+            linalg::axpy(1.0, obs_[j], sums_[assignments_[j]]);
+        }
+    }
+
+    MixturePrior extract_prior(bool include_base_atom) const {
+        const double n = static_cast<double>(obs_.size());
+        linalg::Vector weights;
+        std::vector<stats::MultivariateNormal> atoms;
+        for (std::size_t k = 0; k < counts_.size(); ++k) {
+            const linalg::Cholesky& chol = *cache(counts_[k]).chol_lambda;
+            linalg::Vector rhs = base_precision_m0_;
+            linalg::axpy(1.0, within_precision_.matvec(sums_[k]), rhs);
+            linalg::Vector mean = chol.solve(rhs);
+            linalg::Matrix v = chol.inverse();
+            v += config_.within_covariance;
+            weights.push_back(static_cast<double>(counts_[k]) / (n + config_.alpha));
+            atoms.emplace_back(std::move(mean), std::move(v));
+        }
+        if (include_base_atom) {
+            linalg::Matrix broad = config_.base_covariance;
+            broad += config_.within_covariance;
+            weights.push_back(config_.alpha / (n + config_.alpha));
+            atoms.emplace_back(config_.base_mean, std::move(broad));
+        }
+        return MixturePrior(std::move(weights), std::move(atoms));
+    }
+
+ private:
+    struct CountCache {
+        std::optional<linalg::Cholesky> chol_lambda;
+        std::optional<linalg::Cholesky> chol_pred;
+        double log_det_pred = 0.0;
+    };
+
+    const CountCache& cache(std::size_t count) const {
+        if (count >= cache_.size()) cache_.resize(count + 1);
+        CountCache& entry = cache_[count];
+        if (entry.chol_pred) return entry;
+        linalg::Matrix cov(dim_, dim_);
+        if (count == 0) {
+            cov = config_.base_covariance;
+        } else {
+            linalg::Matrix lambda = base_precision_;
+            linalg::Matrix scaled_within = within_precision_;
+            scaled_within *= static_cast<double>(count);
+            lambda += scaled_within;
+            entry.chol_lambda.emplace(lambda);
+            cov = entry.chol_lambda->inverse();
+        }
+        cov += config_.within_covariance;
+        entry.chol_pred.emplace(linalg::Cholesky::factor_with_jitter(std::move(cov)));
+        entry.log_det_pred = entry.chol_pred->log_det();
+        return entry;
+    }
+
+    double predictive_log_pdf(const linalg::Vector& x, std::size_t count,
+                              const linalg::Vector& sum) const {
+        const CountCache& c = cache(count);
+        linalg::Vector diff(dim_);
+        if (count == 0) {
+            linalg::sub_into(x, config_.base_mean, diff);
+        } else {
+            linalg::Vector rhs = base_precision_m0_;
+            linalg::Vector mv(dim_);
+            within_precision_.matvec_into(sum, mv);
+            linalg::axpy_n(1.0, mv.data(), rhs.data(), dim_);
+            c.chol_lambda->solve_in_place(rhs);
+            linalg::sub_into(x, rhs, diff);
+        }
+        c.chol_pred->solve_lower_in_place(diff);
+        const double quad = linalg::dot_n(diff.data(), diff.data(), dim_);
+        return -0.5 * (static_cast<double>(dim_) * 1.8378770664093454836 + c.log_det_pred +
+                       quad);
+    }
+
+    std::size_t draw(std::size_t j, stats::Rng& rng) {
+        linalg::Vector log_weights(counts_.size() + 1);
+        for (std::size_t k = 0; k < counts_.size(); ++k) {
+            log_weights[k] = std::log(static_cast<double>(counts_[k])) +
+                             predictive_log_pdf(obs_[j], counts_[k], sums_[k]);
+        }
+        log_weights.back() =
+            std::log(config_.alpha) + predictive_log_pdf(obs_[j], 0, linalg::Vector{});
+        linalg::softmax_inplace(log_weights);
+        sampler_.rebuild(log_weights.data(), log_weights.size());
+        return sampler_.draw(rng);
+    }
+
+    void remove(std::size_t j) {
+        const std::size_t k = assignments_[j];
+        counts_[k] -= 1;
+        linalg::axpy(-1.0, obs_[j], sums_[k]);
+        if (counts_[k] == 0) {
+            const std::size_t last = counts_.size() - 1;
+            if (k != last) {
+                ++compactions_;
+                counts_[k] = counts_[last];
+                sums_[k] = std::move(sums_[last]);
+                for (std::size_t& z : assignments_) {
+                    if (z == last) z = k;
+                }
+            }
+            counts_.pop_back();
+            sums_.pop_back();
+        }
+    }
+
+    void insert(std::size_t j, std::size_t cluster) {
+        if (cluster == counts_.size()) {
+            counts_.push_back(0);
+            sums_.push_back(linalg::zeros(dim_));
+        }
+        assignments_[j] = cluster;
+        counts_[cluster] += 1;
+        linalg::axpy(1.0, obs_[j], sums_[cluster]);
+    }
+
+    void resample_alpha(stats::Rng& rng) {
+        const double a = config_.alpha_prior_shape;
+        const double b = config_.alpha_prior_rate;
+        const double n = static_cast<double>(obs_.size());
+        const double k = static_cast<double>(counts_.size());
+        const double eta = rng.beta(config_.alpha + 1.0, n);
+        const double odds = (a + k - 1.0) / (n * (b - std::log(eta)));
+        const double pi_eta = odds / (1.0 + odds);
+        const double shape = (rng.uniform() < pi_eta) ? a + k : a + k - 1.0;
+        config_.alpha = rng.gamma(shape, 1.0 / (b - std::log(eta)));
+    }
+
+    double log_joint() const {
+        const double n = static_cast<double>(obs_.size());
+        double lp = static_cast<double>(counts_.size()) * std::log(config_.alpha);
+        for (const std::size_t c : counts_) lp += std::lgamma(static_cast<double>(c));
+        for (double i = 0.0; i < n; i += 1.0) lp -= std::log(config_.alpha + i);
+        for (std::size_t k = 0; k < counts_.size(); ++k) {
+            std::size_t seen = 0;
+            linalg::Vector partial = linalg::zeros(dim_);
+            for (std::size_t j = 0; j < obs_.size(); ++j) {
+                if (assignments_[j] != k) continue;
+                lp += predictive_log_pdf(obs_[j], seen, partial);
+                linalg::axpy(1.0, obs_[j], partial);
+                ++seen;
+            }
+        }
+        return lp;
+    }
+
+    std::vector<linalg::Vector> obs_;
+    DpmmConfig config_;
+    std::size_t dim_;
+    linalg::Matrix base_precision_{0, 0};
+    linalg::Matrix within_precision_{0, 0};
+    linalg::Vector base_precision_m0_;
+    std::vector<std::size_t> assignments_;
+    std::vector<std::size_t> counts_;
+    std::vector<linalg::Vector> sums_;
+    mutable std::vector<CountCache> cache_;
+    stats::AliasTable sampler_;
+    std::size_t compactions_ = 0;
+};
+
+void expect_same_prior(const MixturePrior& a, const MixturePrior& b, std::uint64_t seed) {
+    ASSERT_EQ(a.num_components(), b.num_components()) << "seed " << seed;
+    EXPECT_TRUE(same_bits(a.weights(), b.weights())) << "seed " << seed;
+    for (std::size_t k = 0; k < a.num_components(); ++k) {
+        EXPECT_TRUE(same_bits(a.atom(k).mean(), b.atom(k).mean())) << "seed " << seed;
+        const linalg::Matrix& ca = a.atom(k).covariance();
+        const linalg::Matrix& cb = b.atom(k).covariance();
+        for (std::size_t r = 0; r < ca.rows(); ++r) {
+            for (std::size_t c = 0; c < ca.cols(); ++c) {
+                EXPECT_TRUE(same_bits(ca(r, c), cb(r, c))) << "seed " << seed;
+            }
+        }
+    }
+}
+
+// DpmmGibbs caches each cluster's predictive mean and each observation's
+// base predictive density. Over random overlapping populations, a random
+// script of add_observation / sweep / run — with and without alpha
+// resampling, through many cluster births and compactions — must leave it
+// in exactly the state of the uncached reference after every step.
+TEST(GibbsMeanCache, MatchesUncachedSamplerBitForBit) {
+    std::size_t total_compactions = 0;
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        stats::Rng data_rng(900 + seed);
+        const std::size_t dim = 2 + seed % 3;
+        const std::size_t modes = 2 + seed % 3;
+        std::vector<linalg::Vector> centers;
+        for (std::size_t m = 0; m < modes; ++m) {
+            centers.push_back(linalg::scaled(data_rng.standard_normal_vector(dim), 2.5));
+        }
+        auto draw_point = [&] {
+            linalg::Vector x = centers[data_rng.uniform_index(modes)];
+            linalg::axpy(0.8, data_rng.standard_normal_vector(dim), x);
+            return x;
+        };
+        std::vector<linalg::Vector> initial;
+        for (std::size_t i = 0; i < 10 + seed % 7; ++i) initial.push_back(draw_point());
+
+        DpmmConfig config;
+        config.alpha = 0.5 + 0.5 * static_cast<double>(seed % 4);
+        config.base_mean = linalg::zeros(dim);
+        config.base_covariance = linalg::Matrix::identity(dim) * 9.0;
+        config.within_covariance = linalg::Matrix::identity(dim) * 0.5;
+        config.num_sweeps = 3;
+        config.resample_alpha = seed % 2 == 0;
+
+        DpmmGibbs cached(initial, config);
+        UncachedGibbs reference(initial, config);
+        stats::Rng rng_cached(seed);
+        stats::Rng rng_reference(seed);
+        for (int step = 0; step < 10; ++step) {
+            switch (data_rng.uniform_index(3)) {
+                case 0:
+                    cached.sweep(rng_cached);
+                    reference.sweep(rng_reference);
+                    break;
+                case 1: {
+                    const linalg::Vector x = draw_point();
+                    const int refresh = static_cast<int>(data_rng.uniform_index(3));
+                    cached.add_observation(x, rng_cached, refresh);
+                    reference.add_observation(x, rng_reference, refresh);
+                    break;
+                }
+                default:
+                    cached.run(rng_cached);
+                    reference.run(rng_reference);
+                    break;
+            }
+            ASSERT_EQ(cached.assignments(), reference.assignments())
+                << "seed " << seed << " step " << step;
+            ASSERT_TRUE(same_bits(cached.alpha(), reference.alpha()))
+                << "seed " << seed << " step " << step;
+        }
+        expect_same_prior(cached.extract_prior(true), reference.extract_prior(true), seed);
+        expect_same_prior(cached.extract_prior(false), reference.extract_prior(false), seed);
+        total_compactions += reference.compactions();
+    }
+    // The script must actually have moved clusters into vacated slots.
+    EXPECT_GT(total_compactions, 100u);
 }
 
 // -------------------------------------------------------- DPMM variational

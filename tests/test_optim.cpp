@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 
+#include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "optim/admm.hpp"
 #include "optim/fista.hpp"
@@ -61,6 +64,71 @@ class RosenbrockObjective final : public Objective {
     }
 };
 
+/// f(x) = sum_i log(1 + exp(<a_i, x>)) + 0.5 * lambda * ||x||^2: smooth,
+/// strictly convex and not quadratic, so a line search needs several
+/// probes and every value and gradient bit comes from real arithmetic.
+class SoftplusObjective final : public Objective {
+ public:
+    SoftplusObjective(std::size_t n, std::size_t rows, double lambda, stats::Rng& rng)
+        : lambda_(lambda) {
+        for (std::size_t i = 0; i < rows; ++i) {
+            rows_.push_back(linalg::scaled(rng.standard_normal_vector(n), 2.0));
+        }
+    }
+
+    std::size_t dim() const override { return rows_.front().size(); }
+
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        double value = 0.5 * lambda_ * linalg::dot(x, x);
+        if (grad) *grad = linalg::scaled(x, lambda_);
+        for (const linalg::Vector& a : rows_) {
+            const double z = linalg::dot(a, x);
+            value += z > 0.0 ? z + std::log1p(std::exp(-z)) : std::log1p(std::exp(z));
+            if (grad) linalg::axpy(1.0 / (1.0 + std::exp(-z)), a, *grad);
+        }
+        return value;
+    }
+
+ private:
+    std::vector<linalg::Vector> rows_;
+    double lambda_;
+};
+
+/// f(x) = |x| in 1-D: |f'| never shrinks, so no probe can meet the
+/// curvature condition and strong_wolfe can only succeed through the zoom
+/// fallback (the best Armijo point).
+class AbsObjective final : public Objective {
+ public:
+    std::size_t dim() const override { return 1; }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        if (grad) *grad = {x[0] > 0.0 ? 1.0 : (x[0] < 0.0 ? -1.0 : 0.0)};
+        return std::fabs(x[0]);
+    }
+};
+
+/// Counts every eval it forwards.
+class CountingObjective final : public Objective {
+ public:
+    explicit CountingObjective(const Objective& inner) : inner_(inner) {}
+    std::size_t dim() const override { return inner_.dim(); }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        ++evals_;
+        return inner_.eval(x, grad);
+    }
+    std::size_t evals() const noexcept { return evals_; }
+
+ private:
+    const Objective& inner_;
+    mutable std::size_t evals_ = 0;
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 // ----------------------------------------------------------- finite checks
 
 TEST(Objective, NumericalGradientMatchesAnalytic) {
@@ -115,6 +183,87 @@ TEST(LineSearch, StrongWolfeSatisfiesBothConditions) {
     linalg::Vector grad_new;
     q.eval(x_new, &grad_new);
     EXPECT_LE(std::fabs(linalg::dot(grad_new, d)), -c2 * linalg::dot(grad, d) + 1e-9);
+}
+
+// The accepted probe's value and gradient are handed back so L-BFGS need
+// not evaluate the new iterate again; they must be exactly what a fresh eval
+// at copy + axpy(step, d) — the point L-BFGS forms — returns. One test per
+// acceptance path of strong_wolfe.
+
+void expect_matches_fresh_eval(const Objective& f, const linalg::Vector& x,
+                               const linalg::Vector& d, const LineSearchResult& r) {
+    ASSERT_TRUE(r.success);
+    linalg::Vector x_new = x;
+    linalg::axpy(r.step, d, x_new);
+    linalg::Vector grad;
+    const double value = f.eval(x_new, &grad);
+    EXPECT_TRUE(same_bits(r.value, value)) << r.value << " vs " << value;
+    EXPECT_TRUE(same_bits(r.gradient, grad));
+}
+
+TEST(LineSearchAccepted, FirstProbeReturnsItsOwnGradient) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        stats::Rng rng(300 + seed);
+        linalg::Matrix m(6, 6);
+        for (std::size_t r = 0; r < 6; ++r) {
+            for (std::size_t c = 0; c < 6; ++c) m(r, c) = rng.normal();
+        }
+        linalg::Matrix a = m.matmul(m.transposed());
+        a.add_diagonal(1.0);
+        const QuadraticObjective q(a, rng.standard_normal_vector(6));
+        const linalg::Vector x = rng.standard_normal_vector(6);
+        linalg::Vector grad;
+        const double fx = q.eval(x, &grad);
+        // The Newton direction reaches the minimizer at t = 1: the first
+        // probe meets both Wolfe conditions.
+        const linalg::Vector d = linalg::scaled(linalg::Cholesky(a).solve(grad), -1.0);
+        const LineSearchResult r = strong_wolfe(q, x, fx, grad, d, 1.0);
+        EXPECT_EQ(r.evaluations, 1);
+        EXPECT_EQ(r.step, 1.0);
+        expect_matches_fresh_eval(q, x, d, r);
+    }
+}
+
+TEST(LineSearchAccepted, ZoomReturnsItsOwnGradient) {
+    const double c1 = 1e-4;
+    const double c2 = 0.9;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        stats::Rng rng(400 + seed);
+        const SoftplusObjective f(5, 12, 0.1, rng);
+        const linalg::Vector x = rng.standard_normal_vector(5);
+        linalg::Vector grad;
+        const double fx = f.eval(x, &grad);
+        const linalg::Vector d = linalg::scaled(grad, -1.0);
+        const double slope0 = linalg::dot(grad, d);
+        // A first step far past the minimizer fails Armijo, so the search
+        // zooms straight away.
+        const double init = 50.0;
+        linalg::Vector far = x;
+        linalg::axpy(init, d, far);
+        ASSERT_GT(f.value(far), fx + c1 * init * slope0);
+        const LineSearchResult r = strong_wolfe(f, x, fx, grad, d, init, c1, c2);
+        EXPECT_GE(r.evaluations, 2);
+        EXPECT_LT(r.step, init);
+        // A zoom acceptance meets the curvature condition; the fallback
+        // never does (it re-probes a point that failed it).
+        EXPECT_LE(std::fabs(linalg::dot(r.gradient, d)), -c2 * slope0);
+        expect_matches_fresh_eval(f, x, d, r);
+    }
+}
+
+TEST(LineSearchAccepted, ZoomFallbackReturnsItsOwnGradient) {
+    const AbsObjective f;
+    const linalg::Vector x{1.0};
+    linalg::Vector grad;
+    const double fx = f.eval(x, &grad);
+    const linalg::Vector d{-1.0};
+    const int max_evals = 8;
+    const LineSearchResult r = strong_wolfe(f, x, fx, grad, d, 3.0, 1e-4, 0.9, max_evals);
+    // One expansion probe, max_evals bisections, then the fallback re-probe.
+    EXPECT_EQ(r.evaluations, 1 + max_evals + 1);
+    EXPECT_GT(r.step, 0.0);
+    EXPECT_GT(std::fabs(linalg::dot(r.gradient, d)), 0.9);
+    expect_matches_fresh_eval(f, x, d, r);
 }
 
 // --------------------------------------------------------- gradient descent
@@ -200,6 +349,135 @@ TEST(Lbfgs, RespectsHistoryValidation) {
     LbfgsOptions options;
     options.history = 0;
     EXPECT_THROW(minimize_lbfgs(q, linalg::zeros(3), options), std::invalid_argument);
+}
+
+// L-BFGS takes the new iterate's value and gradient from the line search.
+// The reference below is the same loop re-evaluating each accepted point;
+// both must agree bit for bit, and the evals saved must be exactly one per
+// accepted step.
+
+struct ReferenceLbfgs {
+    OptimResult result;
+    std::size_t line_search_evals = 0;  ///< sum of ls.evaluations
+    std::size_t accepted_steps = 0;
+};
+
+ReferenceLbfgs reference_lbfgs(const Objective& objective, linalg::Vector x0,
+                               const LbfgsOptions& options) {
+    ReferenceLbfgs ref;
+    OptimResult& result = ref.result;
+    result.x = std::move(x0);
+    linalg::Vector grad;
+    double fx = objective.eval(result.x, &grad);
+    struct Correction {
+        linalg::Vector s;
+        linalg::Vector y;
+        double rho;
+    };
+    std::deque<Correction> history;
+    for (int it = 0; it < options.stopping.max_iterations; ++it) {
+        result.iterations = it;
+        if (linalg::norm_inf(grad) <= options.stopping.grad_tolerance) {
+            result.converged = true;
+            result.message = "gradient tolerance reached";
+            break;
+        }
+        linalg::Vector q = grad;
+        std::vector<double> alpha(history.size());
+        for (std::size_t i = history.size(); i-- > 0;) {
+            alpha[i] = history[i].rho * linalg::dot(history[i].s, q);
+            linalg::axpy(-alpha[i], history[i].y, q);
+        }
+        if (!history.empty()) {
+            const Correction& last = history.back();
+            linalg::scale(q, linalg::dot(last.s, last.y) / linalg::dot(last.y, last.y));
+        }
+        for (std::size_t i = 0; i < history.size(); ++i) {
+            const double beta = history[i].rho * linalg::dot(history[i].y, q);
+            linalg::axpy(alpha[i] - beta, history[i].s, q);
+        }
+        linalg::Vector direction = linalg::scaled(q, -1.0);
+        if (!(linalg::dot(grad, direction) < 0.0)) {
+            direction = linalg::scaled(grad, -1.0);
+            history.clear();
+        }
+        const double init_step =
+            history.empty() ? 1.0 / std::max(1.0, linalg::norm2(grad)) : 1.0;
+        const LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction,
+                                                 init_step, options.c1, options.c2);
+        ref.line_search_evals += static_cast<std::size_t>(ls.evaluations);
+        if (!ls.success) {
+            result.message = "line search failed";
+            break;
+        }
+        ++ref.accepted_steps;
+        linalg::Vector x_new = result.x;
+        linalg::axpy(ls.step, direction, x_new);
+        linalg::Vector grad_new;
+        const double f_new = objective.eval(x_new, &grad_new);  // the re-eval
+        Correction c;
+        c.s = linalg::sub(x_new, result.x);
+        c.y = linalg::sub(grad_new, grad);
+        const double sy = linalg::dot(c.s, c.y);
+        if (sy > 1e-12 * linalg::norm2(c.s) * linalg::norm2(c.y)) {
+            c.rho = 1.0 / sy;
+            history.push_back(std::move(c));
+            if (history.size() > static_cast<std::size_t>(options.history)) {
+                history.pop_front();
+            }
+        }
+        const double decrease = fx - f_new;
+        result.x = std::move(x_new);
+        grad = std::move(grad_new);
+        fx = f_new;
+        if (decrease >= 0.0 &&
+            decrease <= options.stopping.value_tolerance * (std::fabs(fx) + 1.0)) {
+            result.converged = true;
+            result.message = "value tolerance reached";
+            result.iterations = it + 1;
+            break;
+        }
+    }
+    result.value = fx;
+    result.grad_norm = linalg::norm_inf(grad);
+    if (result.message.empty()) result.message = "max iterations reached";
+    return ref;
+}
+
+void expect_one_eval_per_point(const Objective& f, const linalg::Vector& x0,
+                               const LbfgsOptions& options) {
+    const CountingObjective counted(f);
+    const OptimResult r = minimize_lbfgs(counted, x0, options);
+    const CountingObjective counted_ref(f);
+    const ReferenceLbfgs ref = reference_lbfgs(counted_ref, x0, options);
+    EXPECT_TRUE(same_bits(r.x, ref.result.x));
+    EXPECT_TRUE(same_bits(r.value, ref.result.value));
+    EXPECT_TRUE(same_bits(r.grad_norm, ref.result.grad_norm));
+    EXPECT_EQ(r.iterations, ref.result.iterations);
+    EXPECT_EQ(r.converged, ref.result.converged);
+    EXPECT_EQ(r.message, ref.result.message);
+    EXPECT_EQ(counted.evals(), 1 + ref.line_search_evals);
+    EXPECT_EQ(counted_ref.evals(), counted.evals() + ref.accepted_steps);
+    EXPECT_GT(ref.accepted_steps, 0u);
+}
+
+TEST(LbfgsEvalReuse, SoftplusOneEvalPerPoint) {
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        stats::Rng rng(500 + seed);
+        const SoftplusObjective f(6, 20, 0.05, rng);
+        LbfgsOptions options;
+        options.history = 1 + static_cast<int>(seed % 4);
+        expect_one_eval_per_point(f, rng.standard_normal_vector(6), options);
+    }
+}
+
+TEST(LbfgsEvalReuse, RosenbrockAndQuadraticOneEvalPerPoint) {
+    LbfgsOptions options;
+    options.stopping.max_iterations = 2000;
+    expect_one_eval_per_point(RosenbrockObjective{}, {-1.2, 1.0}, options);
+    stats::Rng rng(600);
+    const QuadraticObjective q = random_quadratic(8, rng);
+    expect_one_eval_per_point(q, rng.standard_normal_vector(8), LbfgsOptions{});
 }
 
 // -------------------------------------------------------------------- FISTA
