@@ -12,9 +12,56 @@
 // accuracy stays depressed while the feedback world recovers within 1-2
 // rounds as the posterior opens a cluster for the new type. The bytes
 // column shows what the recovery costs on the wire.
+//
+// The phase profiler runs throughout. At the end, stderr gets the
+// attribution of the per-device work: each named child phase of
+// lifecycle.device (data synthesis, EM fit, scoring, upload) as a share of
+// its wall time, and the self share no child accounts for (target <= 20%).
+#include <cstdint>
+#include <map>
+#include <ostream>
+#include <string>
+
 #include "edgesim/lifecycle.hpp"
+#include "obs/profiler.hpp"
 
 #include "bench_common.hpp"
+
+namespace {
+
+/// Device-phase attribution from the merged profile: wall time of every
+/// lifecycle.device frame, and of each of its direct children by name.
+void report_device_attribution(std::ostream& out) {
+    const std::string device = "lifecycle.device";
+    const auto leaf = [](const std::string& path) {
+        const std::size_t slash = path.rfind('/');
+        return slash == std::string::npos ? path : path.substr(slash + 1);
+    };
+    std::uint64_t device_ns = 0;
+    std::uint64_t child_ns = 0;
+    std::map<std::string, std::uint64_t> children;
+    for (const auto& [path, stats] : drel::obs::Profiler::global().merged_phases()) {
+        if (leaf(path) == device) {
+            device_ns += stats.wall_ns;
+            child_ns += stats.child_wall_ns;
+        } else {
+            const std::size_t slash = path.rfind('/');
+            if (slash != std::string::npos && leaf(path.substr(0, slash)) == device) {
+                children[leaf(path)] += stats.wall_ns;
+            }
+        }
+    }
+    if (device_ns == 0) return;
+    const auto pct = [device_ns](std::uint64_t ns) {
+        return 100.0 * static_cast<double>(ns) / static_cast<double>(device_ns);
+    };
+    out << "\nlifecycle.device: " << static_cast<double>(device_ns) / 1e6 << " ms wall\n";
+    for (const auto& [name, ns] : children) out << "  " << name << ": " << pct(ns) << "%\n";
+    const std::uint64_t self_ns = device_ns > child_ns ? device_ns - child_ns : 0;
+    out << "  self (unattributed): " << pct(self_ns) << "% (target <= 20%)\n";
+}
+
+}  // namespace
 
 int main() {
     using namespace drel;
@@ -26,6 +73,7 @@ int main() {
 
     const int num_seeds = 4;
     const std::size_t rounds = 9;
+    obs::Profiler::global().enable();
 
     struct World {
         std::vector<stats::RunningStats> mean_acc{rounds};
@@ -83,5 +131,7 @@ int main() {
               << " total bytes (broadcast + uploads)\n"
               << "frozen world   : " << frozen.rebroadcasts << " re-broadcasts, "
               << bench::mean_std(frozen.total_bytes, 0) << " total bytes\n";
+    // Timing goes to stderr so stdout stays identical from run to run.
+    report_device_attribution(std::cerr);
     return 0;
 }

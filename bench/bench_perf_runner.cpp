@@ -327,6 +327,39 @@ std::vector<BenchSpec> build_registry() {
         sink(acc);
     }});
 
+    // One device's local data as the lifecycle synthesizes it every
+    // device-round: 16 training rows and a 1500-row test set at feature
+    // dimension 8 (LifecycleConfig's defaults).
+    registry.push_back({"data.generate_device", false, [](std::size_t iters) {
+        static const data::TaskPopulation pop = [] {
+            stats::Rng rng(38);
+            return data::TaskPopulation::make_synthetic(8, 3, 2.5, 0.05, rng);
+        }();
+        static const data::TaskSpec task = [] {
+            stats::Rng rng(39);
+            return pop.sample_task(rng);
+        }();
+        stats::Rng rng(40);
+        double acc = 0.0;
+        for (std::size_t i = 0; i < iters; ++i) {
+            const models::Dataset train = pop.generate(task, 16, rng);
+            const models::Dataset test = pop.generate(task, 1500, rng);
+            acc += train.label(0) + test.label(0);
+        }
+        sink(acc);
+    }});
+
+    // The standard normals behind those rows, (16 + 1500) x 8 = 12128, in
+    // one bulk fill.
+    registry.push_back({"stats.rng_normal_fill", false, [](std::size_t iters) {
+        static std::vector<double> out(12128);
+        stats::Rng rng(41);
+        for (std::size_t i = 0; i < iters; ++i) {
+            rng.fill_standard_normal(out.data(), out.size());
+            sink(out[0]);
+        }
+    }});
+
     registry.push_back({"dp.gibbs_sweep", false, [](std::size_t iters) {
         static std::vector<linalg::Vector> observations = [] {
             stats::Rng rng(14);

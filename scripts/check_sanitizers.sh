@@ -34,7 +34,11 @@
 #
 # The RNG suite (test_rng) rides in both builds: the lazily built engine
 # state is copied word-by-word up to its built prefix, and ASan should watch
-# those copies and the chunked first-block twist index arithmetic.
+# those copies and the chunked first-block twist index arithmetic. Its bulk
+# normal fill (RngFill, RngPinned) writes through a raw pointer, as does the
+# data generator that fills feature rows in place (test_data:
+# GenerateInPlace); the L-BFGS correction ring (test_optim: LbfgsRing)
+# swaps preallocated vectors in and out of its slots.
 #
 # The evaluate-once differential suites ride in both builds as well
 # (test_optim: LineSearchAccepted, LbfgsEvalReuse; test_dp: FusedSurrogate,
@@ -63,7 +67,7 @@ for sanitizer in thread address; do
                  test_linalg_property test_dro_invariants \
                  test_simd_dispatch test_sampling_stats test_obs \
                  test_streaming_posterior test_transfer_v2 test_rng \
-                 test_optim test_dp test_core test_lifecycle > /dev/null
+                 test_optim test_dp test_core test_lifecycle test_data > /dev/null
     # The property/differential harness (ctest -L property) runs here too:
     # the allocation-free kernels and workspace arenas are exactly the code
     # whose buffer reuse ASan/TSan can falsify. The event-driven engine
@@ -71,7 +75,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod|RngFill|RngPinned|GenerateInPlace|LbfgsRing|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -73,14 +73,20 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
     const std::size_t n_outliers =
         static_cast<std::size_t>(std::floor(options.outlier_fraction * static_cast<double>(n)));
 
+    // Each row is drawn straight into the feature matrix. The draw order
+    // and the scale, shift, bias, dot order are what every golden pins.
+    const double* theta = task.theta_star.data();
     for (std::size_t i = 0; i < n; ++i) {
-        linalg::Vector x = rng.standard_normal_vector(d);
-        linalg::scale(x, options.feature_scale);
-        if (!options.feature_shift.empty()) linalg::axpy(1.0, options.feature_shift, x);
+        double* x = features.row_data(i);
+        rng.fill_standard_normal(x, d);
+        for (std::size_t c = 0; c < d; ++c) x[c] *= options.feature_scale;
+        if (!options.feature_shift.empty()) {
+            linalg::axpy_n(1.0, options.feature_shift.data(), x, d);
+        }
 
         // Bias-augment and label via the logistic link around theta*.
-        x.push_back(1.0);
-        const double logit = options.margin_scale * linalg::dot(task.theta_star, x);
+        x[d] = 1.0;
+        const double logit = options.margin_scale * linalg::dot_n(theta, x, d + 1);
         const double p_pos = 1.0 / (1.0 + std::exp(-logit));
         double y = (rng.uniform() < p_pos) ? 1.0 : -1.0;
         if (options.label_noise > 0.0 && rng.uniform() < options.label_noise) y = -y;
@@ -93,7 +99,6 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
             for (std::size_t c = 0; c < d; ++c) x[c] = dir[c];
             y = (rng.uniform() < 0.5) ? 1.0 : -1.0;
         }
-        features.set_row(i, x);
         labels[i] = y;
     }
     return models::Dataset(std::move(features), std::move(labels));
@@ -122,10 +127,10 @@ models::Dataset generate_regression_data(const linalg::Vector& theta_star, std::
     linalg::Matrix features(n, d + 1);
     linalg::Vector labels(n);
     for (std::size_t i = 0; i < n; ++i) {
-        linalg::Vector x = rng.standard_normal_vector(d);
-        x.push_back(1.0);
-        labels[i] = linalg::dot(theta_star, x) + rng.normal(0.0, noise_sd);
-        features.set_row(i, x);
+        double* x = features.row_data(i);
+        rng.fill_standard_normal(x, d);
+        x[d] = 1.0;
+        labels[i] = linalg::dot_n(theta_star.data(), x, d + 1) + rng.normal(0.0, noise_sd);
     }
     return models::Dataset(std::move(features), std::move(labels));
 }

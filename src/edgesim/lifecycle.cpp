@@ -206,10 +206,17 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
         } else {
             task = pre_population.sample_task(work_rng);
         }
-        const models::Dataset train =
-            pre_population.generate(task, config.edge_samples, work_rng, options);
-        const models::Dataset test =
-            pre_population.generate(task, config.test_samples, work_rng, options);
+        models::Dataset train;
+        models::Dataset test;
+        {
+            DREL_PROFILE_SCOPE("lifecycle.device.data");
+            train = pre_population.generate(task, config.edge_samples, work_rng, options);
+            test = pre_population.generate(task, config.test_samples, work_rng, options);
+        }
+        const auto score = [&test](const models::LinearModel& model) {
+            DREL_PROFILE_SCOPE("lifecycle.device.score");
+            return models::accuracy(model, test);
+        };
 
         double accuracy = 0.0;
         if (!faults.prior_usable()) {
@@ -217,7 +224,7 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
             // paper's own baseline) instead of aborting.
             DREL_PROFILE_SCOPE("lifecycle.fallback");
             result.reason = DegradedReason::kFallbackLocalErm;
-            accuracy = models::accuracy(models::LinearModel(fit_theta(train, *loss)), test);
+            accuracy = score(models::LinearModel(fit_theta(train, *loss)));
         } else {
             if (faults.prior_stale) {
                 result.reason = DegradedReason::kStalePrior;
@@ -228,10 +235,9 @@ LifecycleReport run_lifecycle(const LifecycleConfig& config, stats::Rng& rng) {
             const core::FitResult fit = learner.fit(train);
             if (fit.degraded) {
                 result.reason = DegradedReason::kNonFinite;
-                accuracy = models::accuracy(models::LinearModel(fit_theta(train, *loss)),
-                                            test);
+                accuracy = score(models::LinearModel(fit_theta(train, *loss)));
             } else {
-                accuracy = models::accuracy(fit.model, test);
+                accuracy = score(fit.model);
             }
         }
         result.accuracy = accuracy;

@@ -1,8 +1,10 @@
 #include "optim/lbfgs.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -23,12 +25,26 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
     linalg::Vector grad;
     double fx = objective.eval(result.x, &grad);
 
-    struct Correction {
-        linalg::Vector s;  // x_{k+1} - x_k
-        linalg::Vector y;  // g_{k+1} - g_k
-        double rho;        // 1 / <y, s>
-    };
-    std::deque<Correction> history;
+    // The (s, y) corrections live in a ring of `history` slots: slot
+    // (oldest + i) % m holds the i-th oldest pair. A new pair is built in
+    // the scratch s/y and swapped into its slot only if it passes the
+    // curvature check, so a rejected pair never disturbs the ring. Slots
+    // start empty and take their buffers from the swap, so a solve that
+    // stops after a few steps allocates only what it used; every buffer is
+    // then reused across iterations.
+    const std::size_t m = static_cast<std::size_t>(options.history);
+    std::vector<linalg::Vector> ring_s(m);  // x_{k+1} - x_k
+    std::vector<linalg::Vector> ring_y(m);  // g_{k+1} - g_k
+    std::vector<double> ring_rho(m);        // 1 / <y, s>
+    std::size_t oldest = 0;
+    std::size_t count = 0;
+    const auto slot = [&](std::size_t i) { return (oldest + i) % m; };
+    std::vector<double> alpha(m);
+    linalg::Vector q;
+    linalg::Vector direction;
+    linalg::Vector x_new;
+    linalg::Vector s;
+    linalg::Vector y;
 
     for (int it = 0; it < options.stopping.max_iterations; ++it) {
         result.iterations = it;
@@ -39,35 +55,36 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
             break;
         }
 
-        // Two-loop recursion: d = -H_k * grad.
-        linalg::Vector q = grad;
-        std::vector<double> alpha(history.size());
-        for (std::size_t i = history.size(); i-- > 0;) {
-            const Correction& c = history[i];
-            alpha[i] = c.rho * linalg::dot(c.s, q);
-            linalg::axpy(-alpha[i], c.y, q);
+        // Two-loop recursion: d = -H_k * grad, newest pair first.
+        q = grad;
+        for (std::size_t i = count; i-- > 0;) {
+            const std::size_t k = slot(i);
+            alpha[i] = ring_rho[k] * linalg::dot(ring_s[k], q);
+            linalg::axpy(-alpha[i], ring_y[k], q);
         }
-        if (!history.empty()) {
-            const Correction& last = history.back();
-            const double gamma = linalg::dot(last.s, last.y) / linalg::dot(last.y, last.y);
+        if (count > 0) {
+            const std::size_t last = slot(count - 1);
+            const double gamma = linalg::dot(ring_s[last], ring_y[last]) /
+                                 linalg::dot(ring_y[last], ring_y[last]);
             linalg::scale(q, gamma);
         }
-        for (std::size_t i = 0; i < history.size(); ++i) {
-            const Correction& c = history[i];
-            const double beta = c.rho * linalg::dot(c.y, q);
-            linalg::axpy(alpha[i] - beta, c.s, q);
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t k = slot(i);
+            const double beta = ring_rho[k] * linalg::dot(ring_y[k], q);
+            linalg::axpy(alpha[i] - beta, ring_s[k], q);
         }
-        linalg::Vector direction = linalg::scaled(q, -1.0);
+        direction = q;
+        linalg::scale(direction, -1.0);
 
         // Fall back to steepest descent if curvature information went stale.
         if (!(linalg::dot(grad, direction) < 0.0)) {
-            direction = linalg::scaled(grad, -1.0);
-            history.clear();
+            direction = grad;
+            linalg::scale(direction, -1.0);
+            oldest = 0;
+            count = 0;
         }
 
-        const double init_step = history.empty()
-                                     ? 1.0 / std::max(1.0, linalg::norm2(grad))
-                                     : 1.0;
+        const double init_step = count == 0 ? 1.0 / std::max(1.0, linalg::norm2(grad)) : 1.0;
         LineSearchResult ls = strong_wolfe(objective, result.x, fx, grad, direction, init_step,
                                            options.c1, options.c2);
         if (!ls.success) {
@@ -76,27 +93,31 @@ OptimResult minimize_lbfgs(const Objective& objective, linalg::Vector x0,
         }
 
         // The accepted probe was evaluated at exactly this point (copy +
-        // axpy is the line search's own advance), so its value and gradient
+        // axpy is the line search's own probe), so its value and gradient
         // are the new iterate's: no second eval.
-        linalg::Vector x_new = result.x;
+        x_new = result.x;
         linalg::axpy(ls.step, direction, x_new);
         linalg::Vector grad_new = std::move(ls.gradient);
         const double f_new = ls.value;
 
-        Correction c;
-        c.s = linalg::sub(x_new, result.x);
-        c.y = linalg::sub(grad_new, grad);
-        const double sy = linalg::dot(c.s, c.y);
-        if (sy > 1e-12 * linalg::norm2(c.s) * linalg::norm2(c.y)) {
-            c.rho = 1.0 / sy;
-            history.push_back(std::move(c));
-            if (history.size() > static_cast<std::size_t>(options.history)) {
-                history.pop_front();
+        linalg::sub_into(x_new, result.x, s);
+        linalg::sub_into(grad_new, grad, y);
+        const double sy = linalg::dot(s, y);
+        if (sy > 1e-12 * linalg::norm2(s) * linalg::norm2(y)) {
+            // A full ring overwrites its oldest pair.
+            const std::size_t k = count < m ? slot(count) : oldest;
+            if (count < m) {
+                ++count;
+            } else {
+                oldest = (oldest + 1) % m;
             }
+            std::swap(ring_s[k], s);
+            std::swap(ring_y[k], y);
+            ring_rho[k] = 1.0 / sy;
         }
 
         const double decrease = fx - f_new;
-        result.x = std::move(x_new);
+        std::swap(result.x, x_new);
         grad = std::move(grad_new);
         fx = f_new;
         if (decrease >= 0.0 &&

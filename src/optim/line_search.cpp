@@ -45,12 +45,17 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
     const double slope0 = linalg::dot(grad, direction);
     if (!(slope0 < 0.0)) return result;
 
-    // The latest probe's gradient. Cleared before every eval, so each probe
-    // starts from an empty vector exactly as a fresh one would.
+    // The latest probe point and its gradient, one buffer each for the whole
+    // search. The point is rebuilt as copy-of-x + axpy, exactly what
+    // advance() computes; the gradient is cleared before every eval, so
+    // each probe starts from an empty vector exactly as a fresh one would.
+    linalg::Vector probe;
     linalg::Vector g;
     auto phi = [&](double t, double* dphi) {
+        probe = x;
+        linalg::axpy(t, direction, probe);
         g.clear();
-        const double f = objective.eval(advance(x, t, direction), &g);
+        const double f = objective.eval(probe, &g);
         ++result.evaluations;
         if (dphi) *dphi = linalg::dot(g, direction);
         return f;

@@ -33,15 +33,6 @@ Rng::Mt19937_64& Rng::Mt19937_64::operator=(const Mt19937_64& other) noexcept {
     return *this;
 }
 
-Rng::Mt19937_64::result_type Rng::Mt19937_64::operator()() noexcept {
-    if (pos_ == ready_) refill();
-    std::uint64_t z = state_[pos_++];
-    z ^= (z >> 29) & 0x5555555555555555ULL;
-    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-    return z ^ (z >> 43);
-}
-
 void Rng::Mt19937_64::refill() noexcept {
     if (ready_ == kWords) {
         twist(0, kWords);
@@ -74,7 +65,7 @@ void Rng::Mt19937_64::twist(std::uint32_t begin, std::uint32_t end) noexcept {
     constexpr std::uint64_t kLower = ~kUpper;
     const auto mix = [](std::uint64_t far, std::uint64_t cur, std::uint64_t next) {
         const std::uint64_t y = (cur & kUpper) | (next & kLower);
-        return far ^ (y >> 1) ^ ((y & 1U) != 0 ? 0xB5026F5AA96619E9ULL : 0);
+        return far ^ (y >> 1) ^ ((0 - (y & 1U)) & 0xB5026F5AA96619E9ULL);
     };
     std::uint32_t k = begin;
     for (const std::uint32_t stop = std::min(end, kWords - kShift); k < stop; ++k) {
@@ -90,13 +81,9 @@ Rng Rng::fork(std::uint64_t tag) const noexcept {
     return Rng(splitmix64(seed() ^ splitmix64(tag + 0xA5A5A5A5A5A5A5A5ULL)));
 }
 
-double Rng::uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-}
-
 double Rng::uniform(double lo, double hi) {
     if (!(lo < hi)) throw std::invalid_argument("Rng::uniform: requires lo < hi");
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return uniform() * (hi - lo) + lo;
 }
 
 std::size_t Rng::uniform_index(std::size_t n) {
@@ -104,7 +91,18 @@ std::size_t Rng::uniform_index(std::size_t n) {
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
 }
 
-double Rng::normal() { return std::normal_distribution<double>(0.0, 1.0)(engine_); }
+double Rng::normal() noexcept {
+    double y = 0.0;
+    double r2 = 0.0;
+    do {
+        const double x = 2.0 * uniform() - 1.0;
+        y = 2.0 * uniform() - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    // std::normal_distribution(0, 1) applies its parameters to the result;
+    // the `+ 0.0` is not a no-op (it turns -0.0 into +0.0).
+    return y * std::sqrt(-2.0 * std::log(r2) / r2) * 1.0 + 0.0;
+}
 
 double Rng::normal(double mean, double stddev) {
     if (!(stddev >= 0.0)) throw std::invalid_argument("Rng::normal: stddev must be >= 0");
@@ -184,9 +182,13 @@ linalg::Vector Rng::dirichlet(const linalg::Vector& alpha) {
     return out;
 }
 
+void Rng::fill_standard_normal(double* out, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) out[i] = normal();
+}
+
 linalg::Vector Rng::standard_normal_vector(std::size_t n) {
     linalg::Vector out(n);
-    for (double& v : out) v = normal();
+    fill_standard_normal(out.data(), n);
     return out;
 }
 

@@ -13,8 +13,16 @@
 // forks several streams per device-round and draws a handful of values from
 // each, so the full 312-word seeding and twist that std::mt19937_64 pays up
 // front would dominate the round.
+//
+// uniform() and normal() are the library's own code, transcribed from the
+// algorithms libstdc++ runs for a freshly constructed
+// std::uniform_real_distribution / std::normal_distribution on this engine
+// (see DESIGN.md "Owned distributions"). They consume the same words and
+// return the same bits, so every stream and golden built on the standard
+// distributions reproduces; the engine step is inline.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -33,15 +41,22 @@ class Rng {
     /// state is built on its first draw.
     Rng fork(std::uint64_t tag) const noexcept;
 
-    /// U[0,1)
-    double uniform();
+    /// U[0,1): one engine word scaled by 2^-64, as
+    /// std::generate_canonical<double, 53> computes it for a 64-bit engine,
+    /// including its clamp of a result that rounds up to 1.
+    double uniform() noexcept {
+        const double u = static_cast<double>(engine_()) / 18446744073709551616.0;
+        return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
+    }
     /// U[lo,hi)
     double uniform(double lo, double hi);
     /// Uniform integer in [0, n).
     std::size_t uniform_index(std::size_t n);
 
-    /// N(0,1)
-    double normal();
+    /// N(0,1) by the Marsaglia polar method, as a fresh
+    /// std::normal_distribution draws it: the variate paired with the
+    /// returned one is discarded, so each call starts a new pair.
+    double normal() noexcept;
     /// N(mean, stddev^2)
     double normal(double mean, double stddev);
 
@@ -60,6 +75,9 @@ class Rng {
 
     /// Draws from Dirichlet(alpha).
     linalg::Vector dirichlet(const linalg::Vector& alpha);
+
+    /// Writes n iid N(0,1) draws to out[0, n): exactly n calls of normal().
+    void fill_standard_normal(double* out, std::size_t n) noexcept;
 
     /// Vector of iid N(0,1).
     linalg::Vector standard_normal_vector(std::size_t n);
@@ -89,7 +107,14 @@ class Rng {
 
         std::uint64_t seed() const noexcept { return seed_; }
 
-        result_type operator()() noexcept;
+        result_type operator()() noexcept {
+            if (pos_ == ready_) refill();
+            std::uint64_t z = state_[pos_++];
+            z ^= (z >> 29) & 0x5555555555555555ULL;
+            z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+            z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+            return z ^ (z >> 43);
+        }
 
      private:
         static constexpr std::uint32_t kWords = 312;  // n

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "data/csv_io.hpp"
 #include "data/scenarios.hpp"
@@ -130,6 +133,131 @@ TEST(TaskPopulation, GenerateValidatesArguments) {
     DataOptions options;
     options.feature_shift = {1.0};  // wrong dim
     EXPECT_THROW(pop.generate(task, 10, rng, options), std::invalid_argument);
+}
+
+// generate() writes each row straight into the feature matrix. The
+// reference below is the per-row loop it replaced (a fresh vector per row,
+// push_back of the bias, set_row); both must produce the same bits and leave
+// the stream at the same place.
+
+models::Dataset reference_generate(const TaskPopulation& pop, const TaskSpec& task,
+                                   std::size_t n, stats::Rng& rng,
+                                   const DataOptions& options) {
+    const std::size_t d = pop.feature_dim();
+    linalg::Matrix features(n, d + 1);
+    linalg::Vector labels(n);
+    const std::size_t n_outliers =
+        static_cast<std::size_t>(std::floor(options.outlier_fraction * static_cast<double>(n)));
+    for (std::size_t i = 0; i < n; ++i) {
+        linalg::Vector x = rng.standard_normal_vector(d);
+        linalg::scale(x, options.feature_scale);
+        if (!options.feature_shift.empty()) linalg::axpy(1.0, options.feature_shift, x);
+        x.push_back(1.0);
+        const double logit = options.margin_scale * linalg::dot(task.theta_star, x);
+        const double p_pos = 1.0 / (1.0 + std::exp(-logit));
+        double y = (rng.uniform() < p_pos) ? 1.0 : -1.0;
+        if (options.label_noise > 0.0 && rng.uniform() < options.label_noise) y = -y;
+        if (i < n_outliers) {
+            linalg::Vector dir = rng.standard_normal_vector(d);
+            const double dn = linalg::norm2(dir);
+            if (dn > 0.0) linalg::scale(dir, options.outlier_radius / dn);
+            for (std::size_t c = 0; c < d; ++c) x[c] = dir[c];
+            y = (rng.uniform() < 0.5) ? 1.0 : -1.0;
+        }
+        features.set_row(i, x);
+        labels[i] = y;
+    }
+    return models::Dataset(std::move(features), std::move(labels));
+}
+
+models::Dataset reference_regression(const linalg::Vector& theta_star, std::size_t n,
+                                     double noise_sd, stats::Rng& rng) {
+    const std::size_t d = theta_star.size() - 1;
+    linalg::Matrix features(n, d + 1);
+    linalg::Vector labels(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        linalg::Vector x = rng.standard_normal_vector(d);
+        x.push_back(1.0);
+        labels[i] = linalg::dot(theta_star, x) + rng.normal(0.0, noise_sd);
+        features.set_row(i, x);
+    }
+    return models::Dataset(std::move(features), std::move(labels));
+}
+
+bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+::testing::AssertionResult same_data(const models::Dataset& got, const models::Dataset& want) {
+    if (got.size() != want.size() || got.dim() != want.dim()) {
+        return ::testing::AssertionFailure() << "shape differs";
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        if (!same_bits(got.feature_row(i), want.feature_row(i))) {
+            return ::testing::AssertionFailure() << "features differ in row " << i;
+        }
+    }
+    if (!same_bits(got.labels(), want.labels())) {
+        return ::testing::AssertionFailure() << "labels differ";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(GenerateInPlace, MatchesPerRowReferenceAcrossOptions) {
+    const auto variants_for = [](std::size_t d) {
+        std::vector<std::pair<const char*, DataOptions>> variants;
+        variants.emplace_back("defaults", DataOptions{});
+        DataOptions shifted;
+        for (std::size_t c = 0; c < d; ++c) {
+            shifted.feature_shift.push_back(0.5 - 0.35 * static_cast<double>(c % 7));
+        }
+        variants.emplace_back("feature_shift", shifted);
+        DataOptions scaled;
+        scaled.feature_scale = 1.7;
+        scaled.margin_scale = 2.5;
+        variants.emplace_back("feature_scale", scaled);
+        DataOptions outliers;
+        outliers.outlier_fraction = 0.25;
+        outliers.feature_scale = 0.6;
+        variants.emplace_back("outlier_fraction", outliers);
+        DataOptions noiseless;
+        noiseless.label_noise = 0.0;
+        variants.emplace_back("label_noise=0", noiseless);
+        return variants;
+    };
+
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        // Feature dims on both sides of the 16-wide dispatch cut-off.
+        const std::size_t d = seed % 2 == 0 ? 5 : 20;
+        stats::Rng setup(9000 + seed);
+        const TaskPopulation pop = TaskPopulation::make_synthetic(d, 3, 2.5, 0.1, setup);
+        const TaskSpec task = pop.sample_task(setup);
+        for (const auto& [name, options] : variants_for(d)) {
+            for (const std::size_t n : std::vector<std::size_t>{1, 16, 37, 1500}) {
+                stats::Rng rng(seed * 7919 + n);
+                stats::Rng ref_rng(rng);
+                const models::Dataset got = pop.generate(task, n, rng, options);
+                const models::Dataset want = reference_generate(pop, task, n, ref_rng, options);
+                ASSERT_TRUE(same_data(got, want)) << name << ", seed " << seed << ", n " << n;
+                ASSERT_EQ(rng.uniform_index(1u << 30), ref_rng.uniform_index(1u << 30))
+                    << name << ", seed " << seed << ", n " << n;
+            }
+        }
+    }
+}
+
+TEST(GenerateInPlace, RegressionMatchesPerRowReference) {
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        stats::Rng rng(300 + seed);
+        // Feature dims on both sides of the 16-wide dispatch cut-off.
+        const linalg::Vector theta = rng.standard_normal_vector(seed % 2 == 0 ? 6 : 24);
+        stats::Rng ref_rng(rng);
+        const models::Dataset got = generate_regression_data(theta, 200, 0.3, rng);
+        const models::Dataset want = reference_regression(theta, 200, 0.3, ref_rng);
+        ASSERT_TRUE(same_data(got, want)) << "seed " << seed;
+        ASSERT_EQ(rng.uniform_index(1u << 30), ref_rng.uniform_index(1u << 30)) << seed;
+    }
 }
 
 // ------------------------------------------------------------------ shifts

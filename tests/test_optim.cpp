@@ -351,19 +351,24 @@ TEST(Lbfgs, RespectsHistoryValidation) {
     EXPECT_THROW(minimize_lbfgs(q, linalg::zeros(3), options), std::invalid_argument);
 }
 
-// L-BFGS takes the new iterate's value and gradient from the line search.
-// The reference below is the same loop re-evaluating each accepted point;
-// both must agree bit for bit, and the evals saved must be exactly one per
-// accepted step.
+// The reference L-BFGS: the textbook loop with its corrections in a
+// std::deque, newest at the back. With `reevaluate` it evaluates each
+// accepted point again; without, it takes the point's value and gradient
+// from the line search, as minimize_lbfgs does. minimize_lbfgs must agree
+// with it bit for bit either way: the evals saved by the reuse are exactly
+// one per accepted step, and its correction ring must walk the pairs in
+// the deque's order.
 
 struct ReferenceLbfgs {
     OptimResult result;
     std::size_t line_search_evals = 0;  ///< sum of ls.evaluations
     std::size_t accepted_steps = 0;
+    std::size_t resets = 0;        ///< steepest-descent fallbacks
+    std::size_t skipped_pairs = 0;  ///< pairs dropped by the <s, y> check
 };
 
 ReferenceLbfgs reference_lbfgs(const Objective& objective, linalg::Vector x0,
-                               const LbfgsOptions& options) {
+                               const LbfgsOptions& options, bool reevaluate = true) {
     ReferenceLbfgs ref;
     OptimResult& result = ref.result;
     result.x = std::move(x0);
@@ -400,6 +405,7 @@ ReferenceLbfgs reference_lbfgs(const Objective& objective, linalg::Vector x0,
         if (!(linalg::dot(grad, direction) < 0.0)) {
             direction = linalg::scaled(grad, -1.0);
             history.clear();
+            ++ref.resets;
         }
         const double init_step =
             history.empty() ? 1.0 / std::max(1.0, linalg::norm2(grad)) : 1.0;
@@ -414,7 +420,12 @@ ReferenceLbfgs reference_lbfgs(const Objective& objective, linalg::Vector x0,
         linalg::Vector x_new = result.x;
         linalg::axpy(ls.step, direction, x_new);
         linalg::Vector grad_new;
-        const double f_new = objective.eval(x_new, &grad_new);  // the re-eval
+        double f_new = ls.value;
+        if (reevaluate) {
+            f_new = objective.eval(x_new, &grad_new);
+        } else {
+            grad_new = ls.gradient;
+        }
         Correction c;
         c.s = linalg::sub(x_new, result.x);
         c.y = linalg::sub(grad_new, grad);
@@ -425,6 +436,8 @@ ReferenceLbfgs reference_lbfgs(const Objective& objective, linalg::Vector x0,
             if (history.size() > static_cast<std::size_t>(options.history)) {
                 history.pop_front();
             }
+        } else {
+            ++ref.skipped_pairs;
         }
         const double decrease = fx - f_new;
         result.x = std::move(x_new);
@@ -478,6 +491,132 @@ TEST(LbfgsEvalReuse, RosenbrockAndQuadraticOneEvalPerPoint) {
     stats::Rng rng(600);
     const QuadraticObjective q = random_quadratic(8, rng);
     expect_one_eval_per_point(q, rng.standard_normal_vector(8), LbfgsOptions{});
+}
+
+/// f(x) = sum_i (x_i^2 - 1)^2 + coupling * sum_i x_i x_{i+1}: nonconvex,
+/// with a minimum in each orthant the coupling favours.
+class DoubleWellObjective final : public Objective {
+ public:
+    DoubleWellObjective(std::size_t n, double coupling) : n_(n), coupling_(coupling) {}
+    std::size_t dim() const override { return n_; }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        double value = 0.0;
+        if (grad) grad->assign(n_, 0.0);
+        for (std::size_t i = 0; i < n_; ++i) {
+            const double w = x[i] * x[i] - 1.0;
+            value += w * w;
+            if (grad) (*grad)[i] += 4.0 * x[i] * w;
+            if (i + 1 < n_) {
+                value += coupling_ * x[i] * x[i + 1];
+                if (grad) {
+                    (*grad)[i] += coupling_ * x[i + 1];
+                    (*grad)[i + 1] += coupling_ * x[i];
+                }
+            }
+        }
+        return value;
+    }
+
+ private:
+    std::size_t n_;
+    double coupling_;
+};
+
+/// f(x) = sum_i |<a_i, x> - b_i|: piecewise linear, so a step the line
+/// search accepts without crossing a kink leaves the gradient unchanged,
+/// <s, y> = 0, and the correction pair is dropped.
+class AbsoluteResidualObjective final : public Objective {
+ public:
+    AbsoluteResidualObjective(std::size_t n, std::size_t rows, stats::Rng& rng) {
+        for (std::size_t i = 0; i < rows; ++i) {
+            rows_.push_back(rng.standard_normal_vector(n));
+            targets_.push_back(rng.normal());
+        }
+    }
+    std::size_t dim() const override { return rows_.front().size(); }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        double value = 0.0;
+        if (grad) grad->assign(dim(), 0.0);
+        for (std::size_t i = 0; i < rows_.size(); ++i) {
+            const double r = linalg::dot(rows_[i], x) - targets_[i];
+            value += std::fabs(r);
+            if (grad) linalg::axpy(r > 0.0 ? 1.0 : (r < 0.0 ? -1.0 : 0.0), rows_[i], *grad);
+        }
+        return value;
+    }
+
+ private:
+    std::vector<linalg::Vector> rows_;
+    std::vector<double> targets_;
+};
+
+struct RingCase {
+    const Objective* objective;
+    linalg::Vector x0;
+    LbfgsOptions options;
+};
+
+TEST(LbfgsRing, MatchesDequeReferenceBitForBit) {
+    stats::Rng rng(700);
+    const SoftplusObjective softplus(8, 24, 0.01, rng);
+    const DoubleWellObjective wells(10, 0.6);
+    const RosenbrockObjective rosenbrock;
+    const AbsoluteResidualObjective residuals(3, 15, rng);
+    // Minimum at 0 with curvatures 1e10..6e10: driven to the underflow
+    // floor, <grad, d> rounds to zero while <grad, grad> does not, so the
+    // solver resets to steepest descent and keeps going.
+    linalg::Matrix stiff_diag(6, 6);
+    for (std::size_t i = 0; i < 6; ++i) stiff_diag(i, i) = 1e10 * static_cast<double>(i + 1);
+    const QuadraticObjective stiff(std::move(stiff_diag), linalg::zeros(6));
+    const QuadraticObjective isotropic(linalg::Matrix::identity(5) * 3.0, linalg::zeros(5));
+
+    // All tolerances zero: the solver runs on past the floating-point floor.
+    LbfgsOptions exhaustive;
+    exhaustive.stopping.max_iterations = 300;
+    exhaustive.stopping.grad_tolerance = 0.0;
+    exhaustive.stopping.value_tolerance = 0.0;
+    LbfgsOptions long_run;
+    long_run.stopping.max_iterations = 2000;
+
+    std::vector<RingCase> cases;
+    for (int start = 0; start < 6; ++start) {
+        cases.push_back({&wells, linalg::scaled(rng.standard_normal_vector(10), 1.5),
+                         LbfgsOptions{}});
+        cases.push_back({&softplus, rng.standard_normal_vector(8), exhaustive});
+    }
+    for (int start = 0; start < 3; ++start) {
+        cases.push_back({&residuals, rng.standard_normal_vector(3), exhaustive});
+        cases.push_back({&stiff, rng.standard_normal_vector(6), exhaustive});
+    }
+    cases.push_back({&isotropic, rng.standard_normal_vector(5), exhaustive});
+    cases.push_back({&rosenbrock, {-1.2, 1.0}, long_run});
+
+    std::size_t resets = 0;
+    std::size_t skipped = 0;
+    for (const int history : {1, 2, 10}) {
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            SCOPED_TRACE(::testing::Message() << "history " << history << ", case " << c);
+            LbfgsOptions options = cases[c].options;
+            options.history = history;
+            const CountingObjective counted(*cases[c].objective);
+            const OptimResult r = minimize_lbfgs(counted, cases[c].x0, options);
+            const CountingObjective counted_ref(*cases[c].objective);
+            const ReferenceLbfgs ref =
+                reference_lbfgs(counted_ref, cases[c].x0, options, /*reevaluate=*/false);
+            EXPECT_TRUE(same_bits(r.x, ref.result.x));
+            EXPECT_TRUE(same_bits(r.value, ref.result.value));
+            EXPECT_TRUE(same_bits(r.grad_norm, ref.result.grad_norm));
+            EXPECT_EQ(r.iterations, ref.result.iterations);
+            EXPECT_EQ(r.converged, ref.result.converged);
+            EXPECT_EQ(r.message, ref.result.message);
+            EXPECT_EQ(counted.evals(), counted_ref.evals());
+            resets += ref.resets;
+            skipped += ref.skipped_pairs;
+        }
+    }
+    // The cases reach both branches that bypass or empty the ring.
+    EXPECT_GT(resets, 0u);
+    EXPECT_GT(skipped, 0u);
 }
 
 // -------------------------------------------------------------------- FISTA

@@ -1,7 +1,10 @@
 // stats::Rng against std::mt19937_64: the engine inside Rng seeds and twists
-// lazily but must emit exactly the standard MT19937-64 sequence, so every
-// std::*_distribution call (and every golden built on them) consumes the
-// same bits it always has.
+// lazily but must emit exactly the standard MT19937-64 sequence, and its own
+// uniform()/normal() must return exactly what std::uniform_real_distribution
+// and std::normal_distribution return on that sequence, so every golden
+// built on the standard distributions consumes the same bits it always has.
+// A few first draws are also pinned to literal bit patterns, so the streams
+// cannot move silently with a standard library that changes its algorithms.
 //
 // Raw 64-bit words are read through the public API as
 // uniform_index(SIZE_MAX), i.e. std::uniform_int_distribution over
@@ -292,6 +295,126 @@ TEST(RngMethod, PermutationMatchesFisherYatesOnStdEngine) {
                           want[std::uniform_int_distribution<std::size_t>(0, i - 1)(oracle)]);
             }
             ASSERT_EQ(rng.permutation(n), want) << "n = " << n;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// fill_standard_normal is n calls of normal(): the same values, and the
+// stream left at the same word.
+
+/// Fills n normals into one stream and draws n normal() from the other,
+/// then checks the values bit for bit and the next word of both streams.
+::testing::AssertionResult fill_matches_calls(Rng& filled, Rng& called, std::size_t n) {
+    std::vector<double> bulk(n);
+    filled.fill_standard_normal(bulk.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double z = called.normal();
+        if (bits(bulk[i]) != bits(z)) {
+            return ::testing::AssertionFailure()
+                   << "seed " << filled.seed() << " normal " << i << " of " << n << ": "
+                   << bulk[i] << " != " << z;
+        }
+    }
+    if (word(filled) != word(called)) {
+        return ::testing::AssertionFailure() << "seed " << filled.seed() << ": streams part after "
+                                             << n << " normals";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(RngFill, EqualsRepeatedNormalAcrossEveryBoundary) {
+    for (const std::uint64_t seed : test_seeds(16)) {
+        // 0..625 words drawn first, so fills start on every lazy-chunk and
+        // full-twist boundary of the first two blocks.
+        for (std::size_t drawn = 0; drawn <= 625; ++drawn) {
+            Rng filled(seed);
+            for (std::size_t i = 0; i < drawn; ++i) (void)word(filled);
+            Rng called(filled);
+            const std::size_t n = 1 + (drawn * 37) % 331;
+            ASSERT_TRUE(fill_matches_calls(filled, called, n)) << "after " << drawn << " words";
+        }
+    }
+}
+
+TEST(RngFill, LongFillsEqualRepeatedNormal) {
+    for (const std::uint64_t seed : test_seeds(16)) {
+        for (const std::size_t n : std::vector<std::size_t>{0, 1, 2, 155, 156, 312, 1500}) {
+            Rng filled(seed);
+            Rng called(seed);
+            ASSERT_TRUE(fill_matches_calls(filled, called, n)) << "n = " << n;
+        }
+    }
+}
+
+TEST(RngFill, MidStreamCopiesAndForks) {
+    for (const std::uint64_t seed : test_seeds(16)) {
+        Rng root(seed);
+        (void)root.normal();
+        for (std::uint64_t tag = 0; tag < 4; ++tag) {
+            // A fork of a stream that has drawn, filled against its twin.
+            Rng filled = root.fork(tag);
+            Rng called = Rng(seed).fork(tag);
+            ASSERT_TRUE(fill_matches_calls(filled, called, 100 + 60 * tag));
+
+            // A copy taken between two fills continues like the original.
+            Rng copy(filled);
+            ASSERT_TRUE(fill_matches_calls(copy, called, 400));
+            Rng again(seed);
+            again = filled;
+            ASSERT_TRUE(fill_matches_calls(filled, again, 400));
+        }
+    }
+}
+
+TEST(RngFill, StandardNormalVectorIsAFill) {
+    for (const std::uint64_t seed : test_seeds(16)) {
+        Rng vec_rng(seed);
+        Rng called(seed);
+        const drel::linalg::Vector v = vec_rng.standard_normal_vector(700);
+        for (const double x : v) ASSERT_EQ(bits(x), bits(called.normal()));
+        ASSERT_EQ(word(vec_rng), word(called));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The first four uniform() and normal() draws of three seeds, as bit
+// patterns. They equal what libstdc++'s distributions return on
+// std::mt19937_64 today; they must not change with the standard library.
+
+struct PinnedDraws {
+    std::uint64_t seed;
+    std::uint64_t uniform[4];
+    std::uint64_t normal[4];
+};
+
+constexpr PinnedDraws kPinned[] = {
+    {0,
+     {0x3FC4741BE2E5A0EEULL, 0x3FEFBFA74F87C81FULL, 0x3FA442642FE065D1ULL,
+      0x3FE31EAD2079DC80ULL},
+     {0x3FBA17559ECA5E43ULL, 0xBFE5C78002CD6723ULL, 0xBFF189B3FBDECB2FULL,
+      0x3FFD84414636C521ULL}},
+    {1,
+     {0x3FC122DEAFDDB438ULL, 0x3FC175C928118C7DULL, 0x3FDCE0B479DEB991ULL,
+      0x3F95876015E4D702ULL},
+     {0xBFD8C1DA014DDA10ULL, 0x3FE5FA75918CA314ULL, 0xBFE971D689089FDDULL,
+      0x3FFF01D3E119CA68ULL}},
+    {5489,
+     {0x3FE92DA3239EDED6ULL, 0x3FD007DEB1E2F204ULL, 0x3FE6BDD196D57C8BULL,
+      0x3FEE4B1A45A9B722ULL},
+     {0xBFE5FCEF5939FE3AULL, 0x3FC9BE8078C10041ULL, 0xBFAC2E4DFC3EAC4AULL,
+      0xC00115A685BBBE7CULL}},
+};
+
+TEST(RngPinned, FirstUniformAndNormalDraws) {
+    for (const PinnedDraws& pin : kPinned) {
+        Rng uniform_rng(pin.seed);
+        Rng normal_rng(pin.seed);
+        for (int i = 0; i < 4; ++i) {
+            EXPECT_EQ(bits(uniform_rng.uniform()), pin.uniform[i])
+                << "seed " << pin.seed << " uniform " << i;
+            EXPECT_EQ(bits(normal_rng.normal()), pin.normal[i])
+                << "seed " << pin.seed << " normal " << i;
         }
     }
 }
