@@ -3,13 +3,11 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
-#include <set>
 
 #include "dp/crp.hpp"
 #include "dp/dpmm_gibbs.hpp"
 #include "dp/dpmm_variational.hpp"
 #include "dp/mixture_prior.hpp"
-#include "dp/stick_breaking.hpp"
 #include "obs/metrics.hpp"
 #include "stats/alias_table.hpp"
 #include "stats/descriptive.hpp"
@@ -18,114 +16,13 @@
 namespace drel::dp {
 namespace {
 
-// ---------------------------------------------------------- stick breaking
-
-TEST(StickBreaking, WeightsSumToOne) {
-    stats::Rng rng(1);
-    for (int i = 0; i < 50; ++i) {
-        const linalg::Vector w = sample_stick_breaking_weights(1.5, 10, rng);
-        EXPECT_EQ(w.size(), 10u);
-        EXPECT_NEAR(linalg::sum(w), 1.0, 1e-12);
-        for (const double v : w) EXPECT_GE(v, 0.0);
-    }
-}
-
-TEST(StickBreaking, ExpectedWeightsGeometricDecay) {
-    const double alpha = 2.0;
-    const linalg::Vector w = expected_stick_weights(alpha, 8);
-    EXPECT_NEAR(linalg::sum(w), 1.0, 1e-12);
-    // E[pi_1] = 1/(1+alpha); ratio of consecutive weights = alpha/(1+alpha).
-    EXPECT_NEAR(w[0], 1.0 / 3.0, 1e-12);
-    for (std::size_t k = 1; k + 1 < 8; ++k) {
-        EXPECT_NEAR(w[k] / w[k - 1], 2.0 / 3.0, 1e-12);
-    }
-}
-
-TEST(StickBreaking, MonteCarloMatchesExpectedWeights) {
-    stats::Rng rng(2);
-    const double alpha = 1.0;
-    linalg::Vector acc(6, 0.0);
-    const int trials = 20000;
-    for (int t = 0; t < trials; ++t) {
-        linalg::axpy(1.0, sample_stick_breaking_weights(alpha, 6, rng), acc);
-    }
-    linalg::scale(acc, 1.0 / trials);
-    const linalg::Vector expected = expected_stick_weights(alpha, 6);
-    for (std::size_t k = 0; k < 6; ++k) EXPECT_NEAR(acc[k], expected[k], 0.01);
-}
-
-TEST(StickBreaking, SmallAlphaConcentratesOnFirstStick) {
-    stats::Rng rng(3);
-    const linalg::Vector w = expected_stick_weights(0.05, 5);
-    EXPECT_GT(w[0], 0.9);
-}
-
-TEST(StickBreaking, TruncationForMassShrinksLeftover) {
-    const double alpha = 3.0;
-    const std::size_t k = truncation_for_mass(alpha, 1e-3);
-    const linalg::Vector w = expected_stick_weights(alpha, k);
-    EXPECT_LT(w.back(), 1e-3 + 1e-12);
-    EXPECT_THROW(truncation_for_mass(alpha, 2.0), std::invalid_argument);
-}
-
-TEST(StickBreaking, FractionValidation) {
-    EXPECT_THROW(stick_fractions_to_weights({0.5, 1.5}), std::invalid_argument);
-    stats::Rng rng(0);
-    EXPECT_THROW(sample_stick_breaking_weights(-1.0, 5, rng), std::invalid_argument);
-    EXPECT_THROW(sample_stick_breaking_weights(1.0, 0, rng), std::invalid_argument);
-}
-
 // --------------------------------------------------------------------- CRP
 
-TEST(Crp, PartitionCoversAllCustomers) {
-    stats::Rng rng(4);
-    const auto z = sample_crp_partition(1.0, 100, rng);
-    EXPECT_EQ(z.size(), 100u);
-    const std::size_t k = count_clusters(z);
-    EXPECT_GE(k, 1u);
-    // Cluster labels must be contiguous 0..k-1.
-    std::set<std::size_t> labels(z.begin(), z.end());
-    EXPECT_EQ(labels.size(), k);
-    EXPECT_EQ(*labels.rbegin(), k - 1);
-}
-
-TEST(Crp, ExpectedTableCountFormula) {
-    // alpha=1, n=3: 1 + 1/2 + 1/3
-    EXPECT_NEAR(expected_table_count(1.0, 3), 1.0 + 0.5 + 1.0 / 3.0, 1e-12);
-}
-
-TEST(Crp, MonteCarloTableCountMatchesExpectation) {
-    stats::Rng rng(5);
-    const double alpha = 2.0;
-    const std::size_t n = 60;
-    stats::RunningStats tables;
-    for (int t = 0; t < 3000; ++t) {
-        tables.push(static_cast<double>(count_clusters(sample_crp_partition(alpha, n, rng))));
-    }
-    EXPECT_NEAR(tables.mean(), expected_table_count(alpha, n), 0.15);
-}
-
-TEST(Crp, LargerAlphaMakesMoreTables) {
-    stats::Rng rng(6);
-    stats::RunningStats small_alpha;
-    stats::RunningStats large_alpha;
-    for (int t = 0; t < 500; ++t) {
-        small_alpha.push(
-            static_cast<double>(count_clusters(sample_crp_partition(0.2, 80, rng))));
-        large_alpha.push(
-            static_cast<double>(count_clusters(sample_crp_partition(5.0, 80, rng))));
-    }
-    EXPECT_GT(large_alpha.mean(), small_alpha.mean() + 2.0);
-}
-
-TEST(Crp, PredictiveProbabilitiesNormalized) {
-    const auto p = crp_predictive(1.5, {3, 5, 2});
-    EXPECT_EQ(p.size(), 4u);
-    double total = 0.0;
-    for (const double v : p) total += v;
-    EXPECT_NEAR(total, 1.0, 1e-12);
-    EXPECT_NEAR(p[1], 5.0 / 11.5, 1e-12);
-    EXPECT_NEAR(p[3], 1.5 / 11.5, 1e-12);
+TEST(CountClusters, LargestContiguousLabelPlusOne) {
+    EXPECT_EQ(count_clusters({}), 0u);
+    EXPECT_EQ(count_clusters({0, 0, 0}), 1u);
+    EXPECT_EQ(count_clusters({0, 1, 0, 2, 1, 2, 2}), 3u);
+    EXPECT_EQ(count_clusters({2, 0, 1}), 3u);
 }
 
 // ------------------------------------------------------------ mixture prior

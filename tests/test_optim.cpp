@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -7,7 +8,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "optim/admm.hpp"
-#include "optim/fista.hpp"
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgs.hpp"
 #include "optim/line_search.hpp"
@@ -619,61 +619,70 @@ TEST(LbfgsRing, MatchesDequeReferenceBitForBit) {
     EXPECT_GT(skipped, 0u);
 }
 
-// -------------------------------------------------------------------- FISTA
+/// f(u, v) = G max(u - 1/2, 0) + H (v^4 / 8 - v c(u)), c(u) = clamp(2 (1 - u), 0, 1),
+/// with G the largest double below 2^512 and H = 2^486: built so that the
+/// first L-BFGS pair from (1, 0) poisons the ring. The gradient there is
+/// (G, 0); the unit steepest-descent probe lands on the flat side of the
+/// u-kink, where the gradient is (0, -H). The pair s ~ (-1, 0),
+/// y = (-G, -H) passes the curvature check (<s, y> ~ G), but <y, y> =
+/// G^2 + H^2 overflows, so gamma = 0 and the next two-loop direction is
+/// exactly zero: a steepest-descent reset. Past it u stays put and the
+/// solve is a quartic in v with optimum 2^(1/3), so quasi-Newton steps
+/// follow; a ring that still held the poisoned pair would change them.
+class ResetTrapObjective final : public Objective {
+ public:
+    std::size_t dim() const override { return 2; }
 
-TEST(Fista, LassoShrinksExactlyLikeSoftThreshold) {
-    // min 0.5 ||x - v||^2 + lambda ||x||_1 has the closed-form solution
-    // soft_threshold(v, lambda).
-    const linalg::Vector v{3.0, -0.5, 0.1, -2.0};
-    const double lambda = 1.0;
-    const FunctionObjective smooth(4, [&](const linalg::Vector& x, linalg::Vector* grad) {
-        const linalg::Vector d = linalg::sub(x, v);
-        if (grad) *grad = d;
-        return 0.5 * linalg::dot(d, d);
-    });
-    const ProxOperator prox = [&](const linalg::Vector& p, double t) {
-        return prox_l1(p, t, lambda);
-    };
-    const NonSmoothValue g = [&](const linalg::Vector& x) { return lambda * linalg::norm1(x); };
-    const OptimResult r = minimize_fista(smooth, prox, g, linalg::zeros(4));
-    const linalg::Vector expected = prox_l1(v, 1.0, lambda);
-    EXPECT_LT(linalg::distance2(r.x, expected), 1e-6);
-}
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        const double u = x[0];
+        const double v = x[1];
+        const double c = std::clamp(2.0 * (1.0 - u), 0.0, 1.0);
+        if (grad) {
+            const double dc = u > 0.5 && u < 1.0 ? -2.0 : 0.0;
+            *grad = {(u > 0.5 ? kG : 0.0) - kH * v * dc, kH * (0.5 * v * v * v - c)};
+        }
+        return kG * std::max(u - 0.5, 0.0) + kH * (0.125 * v * v * v * v - v * c);
+    }
 
-TEST(Fista, ProxL1KnownValues) {
-    const linalg::Vector r = prox_l1({2.0, -0.3, 0.0}, 1.0, 0.5);
-    EXPECT_DOUBLE_EQ(r[0], 1.5);
-    EXPECT_DOUBLE_EQ(r[1], 0.0);
-    EXPECT_DOUBLE_EQ(r[2], 0.0);
-}
+ private:
+    static inline const double kG = std::nextafter(std::ldexp(1.0, 512), 0.0);
+    static inline const double kH = std::ldexp(1.0, 486);
+};
 
-TEST(Fista, ProxL2NormShrinksRadially) {
-    const linalg::Vector v{3.0, 4.0};  // norm 5
-    const linalg::Vector r = prox_l2_norm(v, 1.0, 2.0);
-    EXPECT_NEAR(linalg::norm2(r), 3.0, 1e-12);
-    // Direction preserved.
-    EXPECT_NEAR(r[0] / r[1], 3.0 / 4.0, 1e-12);
-    // Inside the threshold everything collapses to zero.
-    const linalg::Vector z = prox_l2_norm({0.1, 0.1}, 1.0, 2.0);
-    EXPECT_DOUBLE_EQ(linalg::norm2(z), 0.0);
-}
+TEST(LbfgsRing, ResetEmptiesTheRingBeforeQuasiNewtonSteps) {
+    const ResetTrapObjective trap;
+    const linalg::Vector x0 = {1.0, 0.0};
+    LbfgsOptions options;
+    options.stopping.max_iterations = 12;
+    options.stopping.grad_tolerance = 0.0;
+    options.stopping.value_tolerance = 0.0;
 
-TEST(Fista, AcceleratedNotWorseThanIsta) {
-    stats::Rng rng(30);
-    const QuadraticObjective q = random_quadratic(10, rng);
-    const ProxOperator prox = [](const linalg::Vector& p, double t) {
-        return prox_l1(p, t, 0.1);
-    };
-    const NonSmoothValue g = [](const linalg::Vector& x) { return 0.1 * linalg::norm1(x); };
-    FistaOptions fista_options;
-    fista_options.stopping.max_iterations = 60;
-    fista_options.stopping.grad_tolerance = 0.0;
-    fista_options.stopping.value_tolerance = 0.0;
-    FistaOptions ista_options = fista_options;
-    ista_options.accelerate = false;
-    const OptimResult fast = minimize_fista(q, prox, g, linalg::zeros(10), fista_options);
-    const OptimResult slow = minimize_fista(q, prox, g, linalg::zeros(10), ista_options);
-    EXPECT_LE(fast.value, slow.value + 1e-9);
+    const CountingObjective counted(trap);
+    const OptimResult r = minimize_lbfgs(counted, x0, options);
+    const CountingObjective counted_ref(trap);
+    const ReferenceLbfgs ref = reference_lbfgs(counted_ref, x0, options, /*reevaluate=*/false);
+    EXPECT_EQ(ref.resets, 1u);
+    EXPECT_EQ(ref.skipped_pairs, 0u);
+    EXPECT_GE(ref.accepted_steps, 5u);
+    EXPECT_TRUE(same_bits(r.x, ref.result.x));
+    EXPECT_TRUE(same_bits(r.value, ref.result.value));
+    EXPECT_EQ(r.iterations, ref.result.iterations);
+    EXPECT_EQ(r.message, ref.result.message);
+    EXPECT_EQ(counted.evals(), counted_ref.evals());
+
+    // An emptied ring leaves nothing of the poisoned pair: from the reset
+    // iterate on, the run is a fresh solve started there.
+    LbfgsOptions one_step = options;
+    one_step.stopping.max_iterations = 1;
+    const linalg::Vector reset_iterate = minimize_lbfgs(trap, x0, one_step).x;
+    LbfgsOptions rest = options;
+    rest.stopping.max_iterations = options.stopping.max_iterations - 1;
+    const OptimResult fresh = minimize_lbfgs(trap, reset_iterate, rest);
+    EXPECT_TRUE(same_bits(r.x, fresh.x));
+    EXPECT_TRUE(same_bits(r.value, fresh.value));
+    EXPECT_TRUE(same_bits(r.grad_norm, fresh.grad_norm));
+    EXPECT_EQ(r.message, fresh.message);
+    EXPECT_NEAR(r.x[1], std::cbrt(2.0), 1e-12);
 }
 
 // ------------------------------------------------------------------ scalar
