@@ -2,7 +2,7 @@
 //
 // A fixed registry of microbenchmarks over the numerical kernels on the
 // training hot path (the same kernels the phase profiler instruments) plus
-// two end-to-end scenarios: a small EM solve and a small fleet round. Each
+// end-to-end scenarios (an EM solve, small and large fleet rounds). Each
 // benchmark is calibrated to a target sample duration, warmed up, and then
 // repeated; we report robust statistics (min / median / MAD) rather than a
 // bare mean so the regression gate (scripts/perf_compare.py) can use a
@@ -509,6 +509,29 @@ std::vector<BenchSpec> build_registry() {
         config.rounds = 1;
         config.num_shards = 16;
         config.num_threads = util::Executor::global().max_threads();
+        for (std::size_t i = 0; i < iters; ++i) {
+            stats::Rng rng(19);
+            sink(edgesim::run_scale_fleet(config, rng).mode_recovery_rate);
+        }
+    }});
+
+    registry.push_back({"e2e.fleet_round_churn", true, [](std::size_t iters) {
+        // The large round on the membership path, fleetbench's scale_churn
+        // shape: 10% uniform faults, 10% uniform churn over a 90k-member
+        // start, wire v2 (8-bit quantized deltas). Pins the churn draws and
+        // the driver's membership fold next to e2e.fleet_round_large.
+        edgesim::ScaleFleetConfig config;
+        config.devices_per_round = 100000;
+        config.rounds = 1;
+        config.num_shards = 16;
+        config.num_threads = util::Executor::global().max_threads();
+        config.faults = edgesim::FaultConfig::uniform(0.1);
+        config.membership.churn = edgesim::ChurnConfig::uniform(0.1);
+        config.membership.initial_members = 90000;
+        config.wire.version = edgesim::kWireV2;
+        config.wire.quantized = true;
+        config.wire.quantization_bits = 8;
+        config.wire.delta = true;
         for (std::size_t i = 0; i < iters; ++i) {
             stats::Rng rng(19);
             sink(edgesim::run_scale_fleet(config, rng).mode_recovery_rate);

@@ -24,7 +24,11 @@
 # The membership/churn suite (test_membership, test_membership_stats) is in
 # both builds as well: shards read the driver-owned participation mask while
 # fanned out, and Dead-slot skipping changes which SoA rows each thread
-# touches — precisely the sharing pattern the sanitizers must bless.
+# touches — precisely the sharing pattern the sanitizers must bless. The
+# shards also fill disjoint ranges of the round's churn decision array that
+# the driver then folds (MembershipEngine.DecisionArray*,
+# MembershipTableTest.PrecomputedFold*), and each device's work runs inside
+# a thread-local published fault cell (FaultPlanScopedCell.*).
 #
 # The streaming-posterior and wire-v2 suites (test_streaming_posterior,
 # test_transfer_v2) ride in both builds too: the merge/fold property tests
@@ -75,7 +79,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|Liveness|Streaming|Transfer|RngStream|RngMethod|RngFill|RngPinned|GenerateInPlace|LbfgsRing|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
+        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|DecisionArray|PrecomputedFold|FaultPlanScopedCell|Liveness|Streaming|Transfer|RngStream|RngMethod|RngFill|RngPinned|GenerateInPlace|LbfgsRing|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -16,6 +16,9 @@ void check_probability(double p, const char* name) {
     }
 }
 
+/// The calling thread's innermost FaultPlan::ScopedCell, if any.
+thread_local const FaultPlan::ScopedCell* t_published_cell = nullptr;
+
 }  // namespace
 
 const char* to_string(DegradedReason reason) noexcept {
@@ -89,9 +92,27 @@ stats::Rng FaultPlan::cell_rng(std::uint64_t salt, std::size_t round,
     return stream_.fork(salt).fork(round).fork(device);
 }
 
+FaultPlan::ScopedCell::ScopedCell(const FaultPlan& plan, std::size_t round,
+                                  std::size_t device,
+                                  const DeviceFaultDecision& decision) noexcept
+    : plan_(&plan),
+      round_(round),
+      device_(device),
+      decision_(decision),
+      previous_(t_published_cell) {
+    t_published_cell = this;
+}
+
+FaultPlan::ScopedCell::~ScopedCell() { t_published_cell = previous_; }
+
 DeviceFaultDecision FaultPlan::device_faults(std::size_t round, std::size_t device) const {
     DeviceFaultDecision decision;
     if (!active_) return decision;
+    if (const ScopedCell* cell = t_published_cell;
+        cell != nullptr && cell->plan_ == this && cell->round_ == round &&
+        cell->device_ == device) {
+        return cell->decision_;
+    }
     stats::Rng rng = cell_rng(/*salt=*/1, round, device);
     // One unconditional uniform per fault slot, in a fixed order: the draw
     // for each slot is a pure function of the cell, so raising one

@@ -124,7 +124,36 @@ class FaultPlan {
 
     /// The faults scheduled for (round, device). Pure function of the plan
     /// seed and the cell — independent of query order and thread schedule.
+    /// Inside a ScopedCell for this plan and cell, returns the decision the
+    /// scope published instead of drawing it again.
     DeviceFaultDecision device_faults(std::size_t round, std::size_t device) const;
+
+    /// Publishes one cell's already-drawn decision on the calling thread
+    /// for the scope's lifetime, so a device_faults query for the SAME
+    /// plan, round and device returns it without a second draw. The shard
+    /// builds one around each device's work call: work that asks for its
+    /// own cell (the scale fleet's straggler check) reuses the shard's
+    /// draw. Only a pure function's value for the very cell it was drawn
+    /// for is ever reused: another cell, another plan or an inactive plan
+    /// recomputes, and nothing is cached outside a scope. Scopes nest; each
+    /// restores the cell it replaced. `decision` must be
+    /// plan.device_faults(round, device).
+    class ScopedCell {
+     public:
+        ScopedCell(const FaultPlan& plan, std::size_t round, std::size_t device,
+                   const DeviceFaultDecision& decision) noexcept;
+        ~ScopedCell();
+        ScopedCell(const ScopedCell&) = delete;
+        ScopedCell& operator=(const ScopedCell&) = delete;
+
+     private:
+        friend class FaultPlan;
+        const FaultPlan* plan_;
+        std::size_t round_;
+        std::size_t device_;
+        DeviceFaultDecision decision_;
+        const ScopedCell* previous_;
+    };
 
     /// Simulated retry loop for one device's upload: per-attempt loss with
     /// probability upload_fail_prob, exponential backoff with jitter

@@ -60,10 +60,30 @@ ChurnPlan::ChurnPlan(const ChurnConfig& config, const stats::Rng& base)
     config_.validate();
 }
 
+std::uint8_t DeviceChurnDecision::packed() const noexcept {
+    return static_cast<std::uint8_t>((join ? kJoinBit : 0) | (leave ? kLeaveBit : 0) |
+                                     (heartbeat_lost ? kHeartbeatLostBit : 0) |
+                                     (rejoin ? kRejoinBit : 0));
+}
+
 DeviceChurnDecision ChurnPlan::device_churn(std::size_t round, std::size_t device) const {
-    DeviceChurnDecision decision;
-    if (!active_) return decision;
-    stats::Rng rng = stream_.fork(/*salt=*/1).fork(round).fork(device);
+    if (!active_) return DeviceChurnDecision{};
+    return decide(stream_.fork(/*salt=*/1).fork(round), device);
+}
+
+void ChurnPlan::fill_decisions(std::size_t round, std::size_t begin, std::size_t end,
+                               std::uint8_t* out) const {
+    if (!active_) {
+        std::fill(out + begin, out + end, std::uint8_t{0});
+        return;
+    }
+    const stats::Rng round_stream = stream_.fork(/*salt=*/1).fork(round);
+    for (std::size_t j = begin; j < end; ++j) out[j] = decide(round_stream, j).packed();
+}
+
+DeviceChurnDecision ChurnPlan::decide(const stats::Rng& round_stream,
+                                      std::size_t device) const {
+    stats::Rng rng = round_stream.fork(device);
     // One unconditional uniform per churn slot, in a fixed order — the
     // FaultPlan::device_faults contract: each slot's draw is a pure
     // function of the cell, so raising one probability only ever ADDS
@@ -72,6 +92,7 @@ DeviceChurnDecision ChurnPlan::device_churn(std::size_t round, std::size_t devic
     const double u_leave = rng.uniform();
     const double u_heartbeat = rng.uniform();
     const double u_rejoin = rng.uniform();
+    DeviceChurnDecision decision;
     decision.join = u_join < config_.join_prob;
     decision.leave = u_leave < config_.leave_prob;
     decision.heartbeat_lost = u_heartbeat < config_.heartbeat_loss_prob;
@@ -169,21 +190,25 @@ void MembershipTable::apply_rejoin(std::size_t device) {
     ++events_.rejoins;
 }
 
-void MembershipTable::heartbeat_deadline(std::size_t round, const ChurnPlan& plan) {
+void MembershipTable::heartbeat_deadline(const std::vector<std::uint8_t>& decisions) {
+    if (decisions.size() != records_.size()) {
+        throw std::invalid_argument(
+            "MembershipTable::heartbeat_deadline: one decision per slot required");
+    }
     for (std::size_t j = 0; j < records_.size(); ++j) {
         Record& rec = records_[j];
         if (rec.state != LivenessState::kAlive && rec.state != LivenessState::kSuspect) {
             continue;
         }
-        const DeviceChurnDecision decision = plan.device_churn(round, j);
-        if (decision.leave) {
+        const std::uint8_t decision = decisions[j];
+        if ((decision & DeviceChurnDecision::kLeaveBit) != 0) {
             rec.state = LivenessState::kDead;
             rec.missed_heartbeats = 0;
             ++events_.leaves;
             ++events_.deaths;
             continue;
         }
-        if (decision.heartbeat_lost) {
+        if ((decision & DeviceChurnDecision::kHeartbeatLostBit) != 0) {
             rec.state = LivenessState::kSuspect;
             ++rec.missed_heartbeats;
             ++events_.heartbeats_missed;

@@ -83,6 +83,15 @@ struct DeviceChurnDecision {
     bool leave = false;           ///< applies to Alive/Suspect devices
     bool heartbeat_lost = false;  ///< applies to Alive/Suspect devices
     bool rejoin = false;          ///< applies to Dead devices
+
+    // The decision packed into one byte, one bit per churn slot: the
+    // engine's per-round decision array holds one such byte per device.
+    static constexpr std::uint8_t kJoinBit = 1u << 0;
+    static constexpr std::uint8_t kLeaveBit = 1u << 1;
+    static constexpr std::uint8_t kHeartbeatLostBit = 1u << 2;
+    static constexpr std::uint8_t kRejoinBit = 1u << 3;
+
+    std::uint8_t packed() const noexcept;
 };
 
 /// Seeded schedule of per-round, per-device churn. Copyable; a
@@ -105,7 +114,17 @@ class ChurnPlan {
     /// monotone in each probability at fixed seed.
     DeviceChurnDecision device_churn(std::size_t round, std::size_t device) const;
 
+    /// out[j] = device_churn(round, j).packed() for every j in [begin, end),
+    /// bit for bit; the round's stream fork is taken once for the range.
+    /// The engine's shards each fill their own range of the round's
+    /// decision array with this, in parallel.
+    void fill_decisions(std::size_t round, std::size_t begin, std::size_t end,
+                        std::uint8_t* out) const;
+
  private:
+    /// The cell's decision, given the plan's per-round stream.
+    DeviceChurnDecision decide(const stats::Rng& round_stream, std::size_t device) const;
+
     ChurnConfig config_;
     stats::Rng stream_{0};
     bool active_ = false;
@@ -219,12 +238,15 @@ class MembershipTable {
     void apply_rejoin(std::size_t device);
 
     /// kHeartbeatDeadline handler: folds the round's leave / heartbeat
-    /// outcomes over every Alive/Suspect device in device order. A leave
-    /// kills outright; a missed heartbeat suspects (or, after
+    /// outcomes over every Alive/Suspect device in device order, reading
+    /// each device's packed decision (DeviceChurnDecision::packed(), as
+    /// ChurnPlan::fill_decisions writes it) from `decisions`, one byte per
+    /// slot. A leave kills outright; a missed heartbeat suspects (or, after
     /// suspect_rounds_to_dead consecutive misses, kills); a heartbeat
     /// received by a Suspect recovers it and re-syncs its prior (the
-    /// heartbeat response carries the current version).
-    void heartbeat_deadline(std::size_t round, const ChurnPlan& plan);
+    /// heartbeat response carries the current version). Throws
+    /// std::invalid_argument unless decisions.size() == capacity().
+    void heartbeat_deadline(const std::vector<std::uint8_t>& decisions);
 
     /// A prior broadcast goes out: bump the version and sync every Alive
     /// device. Suspect/Dead devices are deliberately left behind — that is

@@ -167,15 +167,18 @@ double EngineReport::bytes_per_device_round() const noexcept {
 
 namespace {
 
-/// The engine's fleet-sized per-round arrays (about 3.6 MB at 100k
+/// The engine's fleet-sized per-round arrays (about 3.7 MB at 100k
 /// devices), kept per driver thread so their capacity outlives the run:
 /// arrays allocated per run go back to the OS at its end and are faulted in
 /// again at the next start. Every round overwrites them in full
-/// (`RoundSoA::resize` reassigns each array), so no value carries from one
-/// run to the next.
+/// (`RoundSoA::resize` reassigns each array; the shards fill every slot of
+/// the churn decisions), so no value carries from one run to the next.
 struct RoundBuffers {
     RoundSoA soa;
     std::vector<double> latency_scratch;
+    /// Membership runs only: the round's packed churn decision for every
+    /// slot (DeviceChurnDecision::packed()), drawn in the shard fan-out.
+    std::vector<std::uint8_t> churn_decisions;
 };
 
 RoundBuffers& thread_round_buffers() {
@@ -252,6 +255,10 @@ void finalize_round(const RoundSoA& soa, std::size_t theta_dim, EngineRoundStats
 
 }  // namespace
 
+const std::vector<std::uint8_t>& churn_decisions_for_testing() {
+    return thread_round_buffers().churn_decisions;
+}
+
 EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& device_root,
                               const FaultPlan& plan, const DeviceWork& work,
                               const RoundEndFn& round_end,
@@ -293,6 +300,7 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
     RoundBuffers buffers = std::move(thread_round_buffers());
     RoundSoA& soa = buffers.soa;
     std::vector<double>& latency_scratch = buffers.latency_scratch;
+    std::vector<std::uint8_t>& churn_decisions = buffers.churn_decisions;
     std::vector<ShardRoundOutput> outputs(shards.size());
 
     EngineReport report;
@@ -339,7 +347,18 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
                 soa.resize(config.devices_per_round);
                 const std::uint8_t* participating =
                     membership_on ? membership_table.participation().data() : nullptr;
+                if (membership_on) churn_decisions.resize(config.devices_per_round);
                 util::parallel_for(shards.size(), num_threads, [&](std::size_t s) {
+                    if (membership_on) {
+                        // The round's churn cells for EVERY slot in the
+                        // shard's range: non-members need their join and
+                        // rejoin bits too. The driver's folds below only
+                        // read them.
+                        DREL_PROFILE_SCOPE("engine.churn_draws");
+                        const ShardLayout& layout = shards[s].layout();
+                        churn_plan.fill_decisions(round, layout.begin, layout.end,
+                                                  churn_decisions.data());
+                    }
                     outputs[s] = shards[s].run_round(round, device_root, plan, work, soa,
                                                      config.deadline_seconds,
                                                      config.keep_thetas, batch_score,
@@ -371,19 +390,21 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
                 if (membership_on) {
                     // Join/rejoin admissions for the round, in device order
                     // (deterministic event sequence). Only Unknown and Dead
-                    // slots consult the plan, so the event count is bounded
-                    // by the reserved tail plus the dead set.
+                    // slots act on their decision, so the event count is
+                    // bounded by the reserved tail plus the dead set.
+                    DREL_PROFILE_SCOPE("engine.membership_fold");
                     for (std::size_t j = 0; j < config.devices_per_round; ++j) {
                         const LivenessState st = membership_table.state(j);
+                        const std::uint8_t decision = churn_decisions[j];
                         if (st == LivenessState::kUnknown) {
-                            if (churn_plan.device_churn(round, j).join) {
+                            if ((decision & DeviceChurnDecision::kJoinBit) != 0) {
                                 queue.schedule(event.time + config.membership.join_seconds,
                                                EventKind::kDeviceJoin,
                                                static_cast<std::uint32_t>(round), 0,
                                                static_cast<std::uint32_t>(j));
                             }
                         } else if (st == LivenessState::kDead) {
-                            if (churn_plan.device_churn(round, j).rejoin) {
+                            if ((decision & DeviceChurnDecision::kRejoinBit) != 0) {
                                 queue.schedule(event.time + config.membership.join_seconds,
                                                EventKind::kDeviceRejoin,
                                                static_cast<std::uint32_t>(round), 0,
@@ -404,7 +425,10 @@ EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& devi
                 break;
             }
             case EventKind::kHeartbeatDeadline: {
-                membership_table.heartbeat_deadline(round, churn_plan);
+                // Reads the decisions drawn at this round's start: the next
+                // kRoundStart, which overwrites them, follows kRoundEnd.
+                DREL_PROFILE_SCOPE("engine.membership_fold");
+                membership_table.heartbeat_deadline(churn_decisions);
                 break;
             }
             case EventKind::kDeviceJoin: {

@@ -318,12 +318,20 @@ struct EngineReport {
 /// devices, rejoiners resume with DegradedReason::kRejoinStalePrior when
 /// they missed a broadcast, and the report's telemetry grows a membership
 /// series. nullptr or an inactive plan with no reserved tail reproduces
-/// the fixed-population engine bit for bit.
+/// the fixed-population engine bit for bit. Each round's churn cells are
+/// drawn once per slot inside the shard fan-out, into a one-byte-per-slot
+/// decision array that the driver's join/rejoin scan and heartbeat fold
+/// only read.
 EngineReport run_fleet_engine(const EngineConfig& config, const stats::Rng& device_root,
                               const FaultPlan& plan, const DeviceWork& work,
                               const RoundEndFn& round_end,
                               const BatchScoreFn* batch_score = nullptr,
                               const ChurnPlan* churn = nullptr);
+
+/// The churn decision array of this thread's last membership-on engine
+/// run, as its final round left it (packed DeviceChurnDecision bytes, one
+/// per slot). Test hook for the engine's parallel decision fill.
+const std::vector<std::uint8_t>& churn_decisions_for_testing();
 
 // ---------------------------------------------------------------------------
 // The scale path: ≥100k simulated devices per round.

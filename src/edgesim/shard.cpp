@@ -136,6 +136,8 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
             // Died mid-round: contributes nothing — no score, no upload.
             result.reason = DegradedReason::kCrashed;
         } else {
+            // Work that queries its own cell gets the decision drawn above.
+            const FaultPlan::ScopedCell cell(plan, round, j, faults);
             result = work(round, j, work_rng, ws);
         }
 

@@ -86,12 +86,6 @@ double norm2(const Vector& x) noexcept {
     return scale_factor * std::sqrt(ssq);
 }
 
-double norm1(const Vector& x) noexcept {
-    double acc = 0.0;
-    for (const double v : x) acc += std::fabs(v);
-    return acc;
-}
-
 double norm_inf(const Vector& x) noexcept {
     double acc = 0.0;
     for (const double v : x) acc = std::max(acc, std::fabs(v));

@@ -73,9 +73,6 @@ double sum(const Vector& x) noexcept;
 /// Euclidean norm, computed with scaling to avoid overflow.
 double norm2(const Vector& x) noexcept;
 
-/// L1 norm.
-double norm1(const Vector& x) noexcept;
-
 /// max_i |x_i|; 0 for the empty vector.
 double norm_inf(const Vector& x) noexcept;
 

@@ -44,6 +44,27 @@ LineSearchResult strong_wolfe(const Objective& objective, const linalg::Vector& 
     LineSearchResult result;
     const double slope0 = linalg::dot(grad, direction);
     if (!(slope0 < 0.0)) return result;
+    if (std::isinf(slope0)) {
+        // <grad, d> overflowed (|grad| above ~1e154): every Armijo bound
+        // would be -inf and no probe could pass. Search the same ray along
+        // d * 2^-k, with the first k (in steps of 32) whose slope is finite,
+        // and map the step back. Power-of-two scaling is exact, so the
+        // accepted probe is still advance(x, step, d) unless a component of
+        // d drops to a subnormal.
+        linalg::Vector scaled = direction;
+        int k = 0;
+        double slope = slope0;
+        while (std::isinf(slope) && k < 2048) {
+            linalg::scale(scaled, 0x1p-32);
+            k += 32;
+            slope = linalg::dot(grad, scaled);
+        }
+        if (!(slope < 0.0) || std::isinf(slope)) return result;
+        result = strong_wolfe(objective, x, fx, grad, scaled, std::ldexp(initial_step, k), c1,
+                              c2, max_evals);
+        result.step = std::ldexp(result.step, -k);
+        return result;
+    }
 
     // The latest probe point and its gradient, one buffer each for the whole
     // search. The point is rebuilt as copy-of-x + axpy, exactly what

@@ -5,7 +5,6 @@
 // the Wasserstein-DRO dual surrogate and the EM M-step without adaptation.
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "linalg/vector_ops.hpp"
@@ -33,23 +32,6 @@ class Objective {
     /// Central-difference gradient; the solvers never call this, but the
     /// tests use it to validate every analytic gradient in the repository.
     linalg::Vector numerical_gradient(const linalg::Vector& x, double h = 1e-6) const;
-};
-
-/// Adapts a pair of lambdas into an Objective (handy in tests and benches).
-class FunctionObjective final : public Objective {
- public:
-    using Fn = std::function<double(const linalg::Vector&, linalg::Vector*)>;
-
-    FunctionObjective(std::size_t dim, Fn fn) : dim_(dim), fn_(std::move(fn)) {}
-
-    std::size_t dim() const override { return dim_; }
-    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
-        return fn_(x, grad);
-    }
-
- private:
-    std::size_t dim_;
-    Fn fn_;
 };
 
 /// Outcome of an iterative solver run.

@@ -22,11 +22,6 @@ struct ScalarResult {
 ScalarResult golden_section_minimize(const ScalarFn& f, double lo, double hi,
                                      double x_tolerance = 1e-10, int max_evals = 200);
 
-/// Root of a monotone function on [lo, hi] by bisection. The endpoints must
-/// bracket a sign change; throws std::invalid_argument otherwise.
-ScalarResult bisect_root(const ScalarFn& f, double lo, double hi, double x_tolerance = 1e-12,
-                         int max_evals = 200);
-
 /// Minimizes a convex function over [lo, +inf): expands an upper bracket
 /// geometrically until the function stops decreasing, then golden-sections.
 ScalarResult minimize_convex_on_ray(const ScalarFn& f, double lo, double initial_width = 1.0,

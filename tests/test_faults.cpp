@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/em_dro.hpp"
@@ -147,6 +148,80 @@ TEST(FaultPlan, DecisionsArePureFunctionsOfTheCell) {
                          a.link_outage != b.link_outage;
     }
     EXPECT_TRUE(any_difference);
+}
+
+// ---------------------------------------------------- published fault cell
+
+/// A decision no honest draw produces (corrupt_position is a uniform in
+/// [0, 1)), so a query that returns it was served from the scope.
+DeviceFaultDecision marked_decision() {
+    DeviceFaultDecision marked;
+    marked.crash = true;
+    marked.corrupt_position = 7.0;
+    return marked;
+}
+
+bool same_decision(const DeviceFaultDecision& a, const DeviceFaultDecision& b) {
+    return a.crash == b.crash && a.straggler == b.straggler &&
+           a.prior_corrupt == b.prior_corrupt && a.prior_stale == b.prior_stale &&
+           a.link_outage == b.link_outage && bits_equal(a.corrupt_position, b.corrupt_position);
+}
+
+TEST(FaultPlanScopedCell, ServesOnlyThePublishedCellOfThePublishingPlan) {
+    stats::Rng rng(41);
+    const FaultPlan plan(FaultConfig::uniform(0.3), rng);
+    const FaultPlan twin(FaultConfig::uniform(0.3), rng);
+    const FaultPlan inactive;
+    const DeviceFaultDecision drawn = plan.device_faults(3, 8);
+    const DeviceFaultDecision other_device = plan.device_faults(3, 9);
+    const DeviceFaultDecision other_round = plan.device_faults(4, 8);
+    const DeviceFaultDecision marked = marked_decision();
+    {
+        const FaultPlan::ScopedCell cell(plan, 3, 8, marked);
+        EXPECT_TRUE(same_decision(plan.device_faults(3, 8), marked));
+        // Any other cell, another plan (even one with identical draws) or
+        // an inactive plan recomputes.
+        EXPECT_TRUE(same_decision(plan.device_faults(3, 9), other_device));
+        EXPECT_TRUE(same_decision(plan.device_faults(4, 8), other_round));
+        EXPECT_TRUE(same_decision(twin.device_faults(3, 8), drawn));
+        const FaultPlan::ScopedCell inactive_cell(inactive, 3, 8, marked);
+        EXPECT_TRUE(same_decision(inactive.device_faults(3, 8), DeviceFaultDecision{}));
+    }
+    // Nothing is cached once the scope has ended.
+    EXPECT_TRUE(same_decision(plan.device_faults(3, 8), drawn));
+}
+
+TEST(FaultPlanScopedCell, NestedScopesRestoreTheOuterCell) {
+    stats::Rng rng(43);
+    const FaultPlan outer_plan(FaultConfig::uniform(0.3), rng);
+    const FaultPlan inner_plan(FaultConfig::uniform(0.6), rng);
+    DeviceFaultDecision outer_mark = marked_decision();
+    DeviceFaultDecision inner_mark = marked_decision();
+    inner_mark.corrupt_position = 9.0;
+    {
+        const FaultPlan::ScopedCell outer(outer_plan, 0, 1, outer_mark);
+        {
+            // A nested engine run publishes its own cells on this thread.
+            const FaultPlan::ScopedCell inner(inner_plan, 0, 1, inner_mark);
+            EXPECT_TRUE(same_decision(inner_plan.device_faults(0, 1), inner_mark));
+            EXPECT_FALSE(same_decision(outer_plan.device_faults(0, 1), outer_mark));
+        }
+        EXPECT_TRUE(same_decision(outer_plan.device_faults(0, 1), outer_mark));
+        EXPECT_FALSE(same_decision(inner_plan.device_faults(0, 1), inner_mark));
+    }
+    EXPECT_FALSE(same_decision(outer_plan.device_faults(0, 1), outer_mark));
+}
+
+TEST(FaultPlanScopedCell, IsInvisibleToOtherThreads) {
+    stats::Rng rng(47);
+    const FaultPlan plan(FaultConfig::uniform(0.3), rng);
+    const DeviceFaultDecision drawn = plan.device_faults(2, 2);
+    const FaultPlan::ScopedCell cell(plan, 2, 2, marked_decision());
+    DeviceFaultDecision seen_elsewhere;
+    std::thread other([&] { seen_elsewhere = plan.device_faults(2, 2); });
+    other.join();
+    EXPECT_TRUE(same_decision(seen_elsewhere, drawn));
+    EXPECT_TRUE(same_decision(plan.device_faults(2, 2), marked_decision()));
 }
 
 TEST(FaultPlan, FaultSetsGrowMonotonicallyInTheRate) {

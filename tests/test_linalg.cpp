@@ -18,7 +18,6 @@ TEST(VectorOps, DotAndNorms) {
     const Vector x{3.0, 4.0};
     EXPECT_DOUBLE_EQ(dot(x, x), 25.0);
     EXPECT_DOUBLE_EQ(norm2(x), 5.0);
-    EXPECT_DOUBLE_EQ(norm1(x), 7.0);
     EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
 }
 

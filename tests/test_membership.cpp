@@ -10,11 +10,13 @@
 // the engine's reports byte-identical to a run with no plan at all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "edgesim/faults.hpp"
@@ -167,6 +169,34 @@ TEST(ChurnPlanTest, DecisionsArePureFunctionsOfTheCell) {
     EXPECT_TRUE(any_difference);
 }
 
+TEST(ChurnPlanTest, FilledDecisionsArePackedPerCellDecisions) {
+    // The engine's shards each fill their own range of one array; any
+    // split of the index space must give exactly the per-cell decisions.
+    stats::Rng rng(13);
+    const ChurnPlan plan(ChurnConfig::uniform(0.4), rng);
+    constexpr std::size_t kSlots = 97;
+    for (std::size_t round = 0; round < 5; ++round) {
+        std::vector<std::uint8_t> decisions(kSlots, 0xFF);
+        for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, 30},
+                                         {30, 31}, {31, 31}, {31, kSlots}}) {
+            plan.fill_decisions(round, begin, end, decisions.data());
+        }
+        for (std::size_t j = 0; j < kSlots; ++j) {
+            const DeviceChurnDecision d = plan.device_churn(round, j);
+            ASSERT_EQ(decisions[j], d.packed()) << "round " << round << " slot " << j;
+            EXPECT_EQ((decisions[j] & DeviceChurnDecision::kJoinBit) != 0, d.join);
+            EXPECT_EQ((decisions[j] & DeviceChurnDecision::kLeaveBit) != 0, d.leave);
+            EXPECT_EQ((decisions[j] & DeviceChurnDecision::kHeartbeatLostBit) != 0,
+                      d.heartbeat_lost);
+            EXPECT_EQ((decisions[j] & DeviceChurnDecision::kRejoinBit) != 0, d.rejoin);
+        }
+    }
+    // An inactive plan clears its range: the engine reuses the array.
+    std::vector<std::uint8_t> stale(8, 0xFF);
+    ChurnPlan{}.fill_decisions(0, 2, 6, stale.data());
+    EXPECT_EQ(stale, (std::vector<std::uint8_t>{0xFF, 0xFF, 0, 0, 0, 0, 0xFF, 0xFF}));
+}
+
 TEST(ChurnPlanTest, StreamIsIndependentOfTheFaultPlan) {
     // Churn and faults fork DIFFERENT tags off the same base: enabling one
     // must not change what the other draws. The twin-plan check above pins
@@ -187,20 +217,30 @@ TEST(ChurnPlanTest, StreamIsIndependentOfTheFaultPlan) {
 
 // ------------------------------------------------------- state machine
 
-/// Replays the engine's per-round query pattern against a table:
-/// begin_round, then join/rejoin admissions in device order, then the
-/// heartbeat deadline.
+/// The round's packed decision for every slot of a `capacity`-slot table,
+/// filled the way the engine's shards fill it.
+std::vector<std::uint8_t> round_decisions(const ChurnPlan& plan, std::size_t round,
+                                          std::size_t capacity) {
+    std::vector<std::uint8_t> decisions(capacity);
+    plan.fill_decisions(round, 0, capacity, decisions.data());
+    return decisions;
+}
+
+/// Replays the engine's per-round pattern against a table: begin_round,
+/// then join/rejoin admissions in device order, then the heartbeat
+/// deadline, all reading one decision array drawn at round start.
 void drive_round(MembershipTable& table, std::size_t round, const ChurnPlan& plan) {
     table.begin_round();
+    const std::vector<std::uint8_t> decisions = round_decisions(plan, round, table.capacity());
     for (std::size_t j = 0; j < table.capacity(); ++j) {
         const LivenessState st = table.state(j);
         if (st == LivenessState::kUnknown) {
-            if (plan.device_churn(round, j).join) table.apply_join(j);
+            if ((decisions[j] & DeviceChurnDecision::kJoinBit) != 0) table.apply_join(j);
         } else if (st == LivenessState::kDead) {
-            if (plan.device_churn(round, j).rejoin) table.apply_rejoin(j);
+            if ((decisions[j] & DeviceChurnDecision::kRejoinBit) != 0) table.apply_rejoin(j);
         }
     }
-    table.heartbeat_deadline(round, plan);
+    table.heartbeat_deadline(decisions);
 }
 
 TEST(MembershipTableTest, BootsInitialMembersAliveAndTailUnknown) {
@@ -228,7 +268,7 @@ TEST(MembershipTableTest, LeaveKillsOutright) {
     table.begin_round();
     EXPECT_EQ(table.participation().size(), 8u);
     for (const std::uint8_t p : table.participation()) EXPECT_EQ(p, 1);
-    table.heartbeat_deadline(0, everyone_leaves);
+    table.heartbeat_deadline(round_decisions(everyone_leaves, 0, 8));
 
     EXPECT_EQ(table.alive_count(), 0u);
     const MembershipCounts counts = table.counts();
@@ -403,15 +443,18 @@ TEST(MembershipTableTest, OnlyLegalTransitionsUnderRandomChurn) {
                 << to_string(prev[j]) << " -> " << to_string(table.state(j));
             prev[j] = table.state(j);
         }
+        const std::vector<std::uint8_t> decisions = round_decisions(plan, round, kCapacity);
         for (std::size_t j = 0; j < kCapacity; ++j) {
             const LivenessState st = table.state(j);
             if (st == LivenessState::kUnknown) {
-                if (plan.device_churn(round, j).join) table.apply_join(j);
+                if ((decisions[j] & DeviceChurnDecision::kJoinBit) != 0) table.apply_join(j);
             } else if (st == LivenessState::kDead) {
-                if (plan.device_churn(round, j).rejoin) table.apply_rejoin(j);
+                if ((decisions[j] & DeviceChurnDecision::kRejoinBit) != 0) {
+                    table.apply_rejoin(j);
+                }
             }
         }
-        table.heartbeat_deadline(round, plan);
+        table.heartbeat_deadline(decisions);
         const MembershipCounts counts = table.counts();
         EXPECT_EQ(counts.alive + counts.suspect + counts.dead + counts.joining +
                       counts.unknown,
@@ -426,6 +469,209 @@ TEST(MembershipTableTest, OnlyLegalTransitionsUnderRandomChurn) {
     }
     // At a 35% uniform rate over 24 rounds the run must actually churn.
     EXPECT_GT(total_churn, 100u);
+}
+
+/// The membership state machine as it folded churn before decisions were
+/// precomputed: every query draws its cell from the plan on the spot.
+/// The precomputed fold must reproduce it exactly.
+class PerCellReferenceTable {
+ public:
+    PerCellReferenceTable(std::size_t capacity, std::size_t initial_members,
+                          std::size_t suspect_rounds_to_dead)
+        : records_(capacity), participation_(capacity, 0),
+          suspect_rounds_to_dead_(suspect_rounds_to_dead) {
+        for (std::size_t j = 0; j < std::min(initial_members, capacity); ++j) {
+            records_[j].state = LivenessState::kAlive;
+            records_[j].prior_version = version_;
+        }
+    }
+
+    LivenessState state(std::size_t j) const { return records_[j].state; }
+    bool resumed_stale(std::size_t j) const { return records_[j].resumed_stale; }
+    const std::vector<std::uint8_t>& participation() const { return participation_; }
+    std::uint64_t prior_version() const { return version_; }
+
+    void begin_round() {
+        events_ = MembershipCounts{};
+        for (std::size_t j = 0; j < records_.size(); ++j) {
+            Record& rec = records_[j];
+            rec.resumed_stale = false;
+            if (rec.state == LivenessState::kJoining) {
+                rec.state = LivenessState::kAlive;
+                rec.missed_heartbeats = 0;
+                if (rec.joining_from_dead && rec.prior_version < version_) {
+                    rec.resumed_stale = true;
+                    ++events_.rejoins_stale;
+                }
+                rec.prior_version = version_;
+                rec.joining_from_dead = false;
+            }
+            participation_[j] =
+                rec.state == LivenessState::kAlive || rec.state == LivenessState::kSuspect;
+        }
+    }
+
+    void admit(std::size_t round, const ChurnPlan& plan) {
+        for (std::size_t j = 0; j < records_.size(); ++j) {
+            Record& rec = records_[j];
+            if (rec.state == LivenessState::kUnknown && plan.device_churn(round, j).join) {
+                rec.state = LivenessState::kJoining;
+                rec.joining_from_dead = false;
+                ++events_.joins;
+            } else if (rec.state == LivenessState::kDead &&
+                       plan.device_churn(round, j).rejoin) {
+                rec.state = LivenessState::kJoining;
+                rec.joining_from_dead = true;
+                ++events_.rejoins;
+            }
+        }
+    }
+
+    void heartbeat_deadline(std::size_t round, const ChurnPlan& plan) {
+        for (std::size_t j = 0; j < records_.size(); ++j) {
+            Record& rec = records_[j];
+            if (rec.state != LivenessState::kAlive && rec.state != LivenessState::kSuspect) {
+                continue;
+            }
+            const DeviceChurnDecision decision = plan.device_churn(round, j);
+            if (decision.leave) {
+                rec.state = LivenessState::kDead;
+                rec.missed_heartbeats = 0;
+                ++events_.leaves;
+                ++events_.deaths;
+                continue;
+            }
+            if (decision.heartbeat_lost) {
+                rec.state = LivenessState::kSuspect;
+                ++rec.missed_heartbeats;
+                ++events_.heartbeats_missed;
+                if (rec.missed_heartbeats >= suspect_rounds_to_dead_) {
+                    rec.state = LivenessState::kDead;
+                    rec.missed_heartbeats = 0;
+                    ++events_.deaths;
+                }
+                continue;
+            }
+            if (rec.state == LivenessState::kSuspect) {
+                rec.state = LivenessState::kAlive;
+                rec.missed_heartbeats = 0;
+                rec.prior_version = version_;
+                ++events_.recoveries;
+            }
+        }
+    }
+
+    void record_broadcast() {
+        ++version_;
+        for (Record& rec : records_) {
+            if (rec.state == LivenessState::kAlive) rec.prior_version = version_;
+        }
+    }
+
+    MembershipCounts counts() const {
+        MembershipCounts out = events_;
+        for (const Record& rec : records_) {
+            switch (rec.state) {
+                case LivenessState::kAlive: ++out.alive; break;
+                case LivenessState::kSuspect: ++out.suspect; break;
+                case LivenessState::kDead: ++out.dead; break;
+                case LivenessState::kJoining: ++out.joining; break;
+                case LivenessState::kUnknown: ++out.unknown; break;
+            }
+        }
+        return out;
+    }
+
+ private:
+    struct Record {
+        LivenessState state = LivenessState::kUnknown;
+        std::uint32_t missed_heartbeats = 0;
+        std::uint64_t prior_version = 0;
+        bool joining_from_dead = false;
+        bool resumed_stale = false;
+    };
+    std::vector<Record> records_;
+    std::vector<std::uint8_t> participation_;
+    MembershipCounts events_;
+    std::uint64_t version_ = 1;
+    std::size_t suspect_rounds_to_dead_;
+};
+
+void expect_same_counts(const MembershipCounts& a, const MembershipCounts& b,
+                        const std::string& where) {
+    EXPECT_EQ(a.alive, b.alive) << where;
+    EXPECT_EQ(a.suspect, b.suspect) << where;
+    EXPECT_EQ(a.dead, b.dead) << where;
+    EXPECT_EQ(a.joining, b.joining) << where;
+    EXPECT_EQ(a.unknown, b.unknown) << where;
+    EXPECT_EQ(a.joins, b.joins) << where;
+    EXPECT_EQ(a.rejoins, b.rejoins) << where;
+    EXPECT_EQ(a.leaves, b.leaves) << where;
+    EXPECT_EQ(a.heartbeats_missed, b.heartbeats_missed) << where;
+    EXPECT_EQ(a.deaths, b.deaths) << where;
+    EXPECT_EQ(a.recoveries, b.recoveries) << where;
+    EXPECT_EQ(a.rejoins_stale, b.rejoins_stale) << where;
+}
+
+TEST(MembershipTableTest, PrecomputedFoldMatchesThePerCellFold) {
+    constexpr std::size_t kCapacity = 64;
+    constexpr std::size_t kRounds = 12;
+    std::size_t total_churn = 0;
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+        const stats::Rng rng(1000 + seed);
+        const double rate = 0.05 + 0.1 * static_cast<double>(seed % 4);
+        const ChurnPlan plan(ChurnConfig::uniform(rate), rng);
+        const std::size_t to_dead = 1 + seed % 3;
+        MembershipTable table(kCapacity, 48, to_dead);
+        PerCellReferenceTable reference(kCapacity, 48, to_dead);
+        for (std::size_t round = 0; round < kRounds; ++round) {
+            const std::string where =
+                "seed " + std::to_string(seed) + " round " + std::to_string(round);
+            table.begin_round();
+            reference.begin_round();
+            ASSERT_EQ(table.participation(), reference.participation()) << where;
+
+            const std::vector<std::uint8_t> decisions =
+                round_decisions(plan, round, kCapacity);
+            for (std::size_t j = 0; j < kCapacity; ++j) {
+                const LivenessState st = table.state(j);
+                if (st == LivenessState::kUnknown &&
+                    (decisions[j] & DeviceChurnDecision::kJoinBit) != 0) {
+                    table.apply_join(j);
+                } else if (st == LivenessState::kDead &&
+                           (decisions[j] & DeviceChurnDecision::kRejoinBit) != 0) {
+                    table.apply_rejoin(j);
+                }
+            }
+            reference.admit(round, plan);
+            table.heartbeat_deadline(decisions);
+            reference.heartbeat_deadline(round, plan);
+            if (round % 3 == 1) {
+                table.record_broadcast();
+                reference.record_broadcast();
+            }
+
+            for (std::size_t j = 0; j < kCapacity; ++j) {
+                ASSERT_EQ(table.state(j), reference.state(j)) << where << " slot " << j;
+                ASSERT_EQ(table.resumed_stale(j), reference.resumed_stale(j))
+                    << where << " slot " << j;
+            }
+            const MembershipCounts counts = table.counts();
+            expect_same_counts(counts, reference.counts(), where);
+            EXPECT_EQ(table.prior_version(), reference.prior_version()) << where;
+            total_churn += counts.churn_events();
+        }
+    }
+    // The sweep must exercise every kind of transition, not idle.
+    EXPECT_GT(total_churn, 1000u);
+}
+
+TEST(MembershipTableTest, HeartbeatFoldNeedsOneDecisionPerSlot) {
+    MembershipTable table(4, 4, 2);
+    table.begin_round();
+    EXPECT_THROW(table.heartbeat_deadline(std::vector<std::uint8_t>(3, 0)),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(table.heartbeat_deadline(std::vector<std::uint8_t>(4, 0)));
 }
 
 // --------------------------------------------------- engine integration
@@ -536,6 +782,35 @@ TEST(MembershipEngine, ChurnRunIsBitIdenticalAcrossThreadAndShardCounts) {
         variant.num_threads = 2;
         EXPECT_EQ(telemetry_fingerprint(run_churn_engine(variant, churn)), expected)
             << "shards=" << shards;
+    }
+}
+
+TEST(MembershipEngine, DecisionArrayHoldsEverySlotsCellNonMembersIncluded) {
+    // run_churn_engine's churn plan, rebuilt from the same root.
+    const ChurnConfig churn_config = ChurnConfig::uniform(0.25);
+    const ChurnPlan plan(churn_config, stats::Rng(99));
+    EngineConfig config = small_engine_config();
+    config.membership.initial_members = 32;  // slots 32..39 boot Unknown
+    for (const std::size_t shards : {1u, 3u, 8u}) {
+        for (const std::size_t rounds : {1u, 2u, 4u}) {
+            EngineConfig variant = config;
+            variant.rounds = rounds;
+            variant.num_shards = shards;
+            variant.num_threads = 2;
+            const EngineReport report = run_churn_engine(variant, churn_config);
+            // The array holds the final round's decisions.
+            const std::vector<std::uint8_t>& decisions = churn_decisions_for_testing();
+            ASSERT_EQ(decisions.size(), variant.devices_per_round);
+            std::size_t tail_bits = 0;
+            for (std::size_t j = 0; j < decisions.size(); ++j) {
+                ASSERT_EQ(decisions[j], plan.device_churn(rounds - 1, j).packed())
+                    << "shards " << shards << " rounds " << rounds << " slot " << j;
+                if (j >= 32) tail_bits += decisions[j] != 0 ? 1 : 0;
+            }
+            // Reserved-tail slots never ran, yet their cells were drawn.
+            EXPECT_GT(tail_bits, 0u) << "shards " << shards << " rounds " << rounds;
+            EXPECT_EQ(report.rounds.size(), rounds);
+        }
     }
 }
 

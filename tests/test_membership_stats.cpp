@@ -73,15 +73,17 @@ double critical_value(std::size_t df) {
 /// heartbeat fold — the exact query pattern run_fleet_engine issues.
 void drive_round(MembershipTable& table, std::size_t round, const ChurnPlan& plan) {
     table.begin_round();
+    std::vector<std::uint8_t> decisions(table.capacity());
+    plan.fill_decisions(round, 0, decisions.size(), decisions.data());
     for (std::size_t j = 0; j < table.capacity(); ++j) {
         const LivenessState st = table.state(j);
         if (st == LivenessState::kUnknown) {
-            if (plan.device_churn(round, j).join) table.apply_join(j);
+            if ((decisions[j] & DeviceChurnDecision::kJoinBit) != 0) table.apply_join(j);
         } else if (st == LivenessState::kDead) {
-            if (plan.device_churn(round, j).rejoin) table.apply_rejoin(j);
+            if ((decisions[j] & DeviceChurnDecision::kRejoinBit) != 0) table.apply_rejoin(j);
         }
     }
-    table.heartbeat_deadline(round, plan);
+    table.heartbeat_deadline(decisions);
 }
 
 TEST(MembershipStats, SuspectSpellLengthsFollowTheTruncatedGeometric) {

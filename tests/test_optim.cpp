@@ -266,6 +266,56 @@ TEST(LineSearchAccepted, ZoomFallbackReturnsItsOwnGradient) {
     expect_matches_fresh_eval(f, x, d, r);
 }
 
+/// a/2 |x - c|^2 with a = 2^500: at the origin every gradient component is
+/// ~2^520, so the steepest-descent slope <grad, -grad> overflows to -inf.
+class SteepBowl final : public Objective {
+ public:
+    std::size_t dim() const override { return 3; }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        if (grad) grad->assign(3, 0.0);
+        double f = 0.0;
+        for (std::size_t i = 0; i < 3; ++i) {
+            const double r = x[i] - center()[i];
+            f += 0.5 * kA * r * r;
+            if (grad) (*grad)[i] = kA * r;
+        }
+        return f;
+    }
+    static const linalg::Vector& center() {
+        static const linalg::Vector c{0x1p20, -0x1p19, 0x1.8p20};
+        return c;
+    }
+
+ private:
+    static constexpr double kA = 0x1p500;
+};
+
+TEST(LineSearchAccepted, OverflowingSlopeStillTakesAStep) {
+    const SteepBowl f;
+    const linalg::Vector x = linalg::zeros(3);
+    linalg::Vector grad;
+    const double fx = f.eval(x, &grad);
+    linalg::Vector d = grad;
+    linalg::scale(d, -1.0);
+    ASSERT_TRUE(std::isfinite(fx));
+    ASSERT_TRUE(std::isinf(linalg::dot(grad, d)));
+    const LineSearchResult r = strong_wolfe(f, x, fx, grad, d, 1.0 / linalg::norm2(grad));
+    ASSERT_TRUE(r.success);
+    EXPECT_GT(r.step, 0.0);
+    EXPECT_LT(r.value, fx);
+    expect_matches_fresh_eval(f, x, d, r);
+}
+
+TEST(Lbfgs, ConvergesFromAGradientWhoseSquaredNormOverflows) {
+    const SteepBowl f;
+    const OptimResult r = minimize_lbfgs(f, linalg::zeros(3));
+    EXPECT_TRUE(r.converged) << r.message;
+    EXPECT_GE(r.iterations, 1);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_NEAR(r.x[i], SteepBowl::center()[i], 1e-9 * 0x1p20) << "component " << i;
+    }
+}
+
 // --------------------------------------------------------- gradient descent
 
 TEST(GradientDescent, SolvesQuadraticToTolerance) {
@@ -694,16 +744,6 @@ TEST(Scalar, GoldenSectionFindsParabolaMinimum) {
     EXPECT_TRUE(r.converged);
 }
 
-TEST(Scalar, BisectRootFindsSqrt2) {
-    const auto r = bisect_root([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-    EXPECT_NEAR(r.x, std::sqrt(2.0), 1e-9);
-}
-
-TEST(Scalar, BisectRootRejectsNonBracketing) {
-    EXPECT_THROW(bisect_root([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-                 std::invalid_argument);
-}
-
 TEST(Scalar, ConvexRayExpandsBracket) {
     // Minimum far beyond the initial width.
     const auto r = minimize_convex_on_ray(
@@ -719,16 +759,24 @@ TEST(Scalar, ConvexRayHandlesBoundaryMinimum) {
 
 // -------------------------------------------------------------------- ADMM
 
+/// 0.5 (x - center)^2 in one dimension.
+class ShiftedParabola final : public Objective {
+ public:
+    explicit ShiftedParabola(double center) : center_(center) {}
+    std::size_t dim() const override { return 1; }
+    double eval(const linalg::Vector& x, linalg::Vector* grad) const override {
+        if (grad) *grad = {x[0] - center_};
+        return 0.5 * (x[0] - center_) * (x[0] - center_);
+    }
+
+ private:
+    double center_;
+};
+
 TEST(Admm, ConsensusOfQuadraticsMatchesPooledSolution) {
     // Two quadratics 0.5(x-a)^2 and 0.5(x-b)^2: consensus optimum (a+b)/2.
-    const FunctionObjective f1(1, [](const linalg::Vector& x, linalg::Vector* g) {
-        if (g) *g = {x[0] - 1.0};
-        return 0.5 * (x[0] - 1.0) * (x[0] - 1.0);
-    });
-    const FunctionObjective f2(1, [](const linalg::Vector& x, linalg::Vector* g) {
-        if (g) *g = {x[0] - 5.0};
-        return 0.5 * (x[0] - 5.0) * (x[0] - 5.0);
-    });
+    const ShiftedParabola f1(1.0);
+    const ShiftedParabola f2(5.0);
     const AdmmResult r = minimize_consensus_admm({&f1, &f2}, {0.0});
     EXPECT_TRUE(r.converged);
     EXPECT_NEAR(r.z[0], 3.0, 1e-4);
