@@ -79,7 +79,7 @@ for sanitizer in thread address; do
     # per-shard SoA slices across threads — the exact pattern TSan exists
     # to check.
     if ! (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" \
-        -R 'ThreadPool|ParallelFor|ParallelReduce|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|UploadSufficientStats|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|DecisionArray|PrecomputedFold|FaultPlanScopedCell|Liveness|Streaming|Transfer|RngStream|RngMethod|RngFill|RngPinned|GenerateInPlace|LbfgsRing|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
+        -R 'ThreadPool|ParallelFor|Executor|Determinism|Fault|Chaos|EmDroDegradation|WorkspaceKernels|LinalgProperty|DroInvariants|FleetEngine|FleetHealth|EventQueue|StreamScheme|ScaleFleet|ShardLayout|SimdDispatch|SamplingStats|Timeseries|Health\.|Metrics\.|Membership|Churn|DecisionArray|PrecomputedFold|FaultPlanScopedCell|Liveness|Streaming|Transfer|RngStream|RngMethod|RngFill|RngPinned|GenerateInPlace|LbfgsRing|LineSearchAccepted|LbfgsEvalReuse|FusedSurrogate|GibbsMeanCache|EmDro\.ObjectiveMonotone|EmDro\.TraceTerms|Lifecycle\.'); then
         echo "!!! ${sanitizer} sanitizer suite FAILED"
         failed+=("${sanitizer}")
     fi

@@ -1,6 +1,5 @@
 #include "baselines/trainers.hpp"
 
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -173,34 +172,6 @@ class DroOnlyTrainer final : public Trainer {
     double coefficient_;
 };
 
-class PriorMapTrainer final : public Trainer {
- public:
-    explicit PriorMapTrainer(dp::MixturePrior prior) : prior_(std::move(prior)) {}
-
-    std::string name() const override { return "prior-map"; }
-
-    models::LinearModel fit(const models::Dataset& data) const override {
-        if (data.dim() != prior_.dim()) {
-            throw std::invalid_argument("prior-map: dataset/prior dimension mismatch");
-        }
-        // The mixture density's modes are essentially at the atom means for
-        // well-separated atoms; pick the densest one.
-        std::size_t best = 0;
-        double best_log_pdf = -std::numeric_limits<double>::infinity();
-        for (std::size_t k = 0; k < prior_.num_components(); ++k) {
-            const double lp = prior_.log_pdf(prior_.atom(k).mean());
-            if (lp > best_log_pdf) {
-                best_log_pdf = lp;
-                best = k;
-            }
-        }
-        return models::LinearModel(prior_.atom(best).mean());
-    }
-
- private:
-    dp::MixturePrior prior_;
-};
-
 class EmDroTrainer final : public Trainer {
  public:
     EmDroTrainer(dp::MixturePrior prior, core::EdgeLearnerConfig config)
@@ -243,10 +214,6 @@ std::unique_ptr<Trainer> make_map_gaussian(dp::MixturePrior prior, models::LossK
 std::unique_ptr<Trainer> make_dro_only(models::LossKind loss, dro::AmbiguityKind kind,
                                        double radius_coefficient) {
     return std::make_unique<DroOnlyTrainer>(loss, kind, radius_coefficient);
-}
-
-std::unique_ptr<Trainer> make_prior_map(dp::MixturePrior prior) {
-    return std::make_unique<PriorMapTrainer>(std::move(prior));
 }
 
 std::unique_ptr<Trainer> make_em_dro(dp::MixturePrior prior, core::EdgeLearnerConfig config) {

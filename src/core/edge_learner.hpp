@@ -63,7 +63,6 @@ class EdgeLearner {
     /// valid after the transfer buffer is gone.
     EdgeLearner(dp::MixturePrior prior, EdgeLearnerConfig config);
 
-    const EdgeLearnerConfig& config() const noexcept { return config_; }
     const dp::MixturePrior& prior() const noexcept { return prior_; }
 
     /// Trains on `local_data` (bias column last, matching the prior's dim).

@@ -103,8 +103,6 @@ class EmDroSolver {
     /// Runs EM with the default multi-start (prior mean + top atoms).
     EmDroResult solve() const;
 
-    double transfer_weight_scaled() const noexcept { return weight_; }
-
  private:
     const optim::Objective& robust() const noexcept {
         return external_robust_ ? *external_robust_ : *owned_robust_;

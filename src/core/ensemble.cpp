@@ -69,10 +69,6 @@ double EnsembleModel::accuracy(const models::Dataset& data) const {
     return static_cast<double>(correct) / static_cast<double>(data.size());
 }
 
-const models::LinearModel& EnsembleModel::map_expert() const {
-    return experts_[linalg::argmax(weights_)];
-}
-
 EnsembleEdgeLearner::EnsembleEdgeLearner(dp::MixturePrior prior, EnsembleConfig config)
     : prior_(std::move(prior)), config_(std::move(config)) {
     if (!(config_.transfer_weight >= 0.0)) {

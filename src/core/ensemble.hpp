@@ -46,9 +46,7 @@ class EnsembleModel {
  public:
     EnsembleModel(std::vector<models::LinearModel> experts, linalg::Vector weights);
 
-    std::size_t num_experts() const noexcept { return experts_.size(); }
     const linalg::Vector& weights() const noexcept { return weights_; }
-    const models::LinearModel& expert(std::size_t k) const { return experts_.at(k); }
 
     /// Weighted-average probability of class +1.
     double predict_probability(const linalg::Vector& x) const;
@@ -56,9 +54,6 @@ class EnsembleModel {
 
     /// Accuracy on a -1/+1 dataset using the averaged probabilities.
     double accuracy(const models::Dataset& data) const;
-
-    /// Collapses to the highest-weight expert (for byte-constrained deploys).
-    const models::LinearModel& map_expert() const;
 
  private:
     std::vector<models::LinearModel> experts_;

@@ -41,7 +41,6 @@ class SoftmaxEdgeLearner {
     /// The prior's dimension must equal num_classes * (local data dim).
     SoftmaxEdgeLearner(dp::MixturePrior prior, SoftmaxEdgeLearnerConfig config);
 
-    const SoftmaxEdgeLearnerConfig& config() const noexcept { return config_; }
     const dp::MixturePrior& prior() const noexcept { return prior_; }
 
     SoftmaxFitResult fit(const models::Dataset& local_data) const;

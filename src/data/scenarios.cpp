@@ -70,11 +70,4 @@ Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,
     return s;
 }
 
-Scenario make_scenario(ScenarioKind kind, const ScenarioConfig& config, stats::Rng& rng) {
-    const TaskPopulation population = TaskPopulation::make_synthetic(
-        config.feature_dim, config.num_modes, config.mode_radius, config.within_mode_var, rng);
-    const TaskSpec task = population.sample_task(rng);
-    return make_scenario_for_task(kind, config, population, task, rng);
-}
-
 }  // namespace drel::data

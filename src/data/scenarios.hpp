@@ -47,9 +47,6 @@ struct Scenario {
     double bayes_accuracy = 1.0;   ///< accuracy of theta* on the test set
 };
 
-/// Builds one scenario; all randomness flows through `rng`.
-Scenario make_scenario(ScenarioKind kind, const ScenarioConfig& config, stats::Rng& rng);
-
 /// Builds a scenario reusing an existing population and task — used when the
 /// same cloud prior must be evaluated across several conditions.
 Scenario make_scenario_for_task(ScenarioKind kind, const ScenarioConfig& config,

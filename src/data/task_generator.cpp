@@ -104,17 +104,6 @@ models::Dataset TaskPopulation::generate(const TaskSpec& task, std::size_t n, st
     return models::Dataset(std::move(features), std::move(labels));
 }
 
-double TaskPopulation::bayes_accuracy(const TaskSpec& task, std::size_t n_mc, stats::Rng& rng,
-                                      const DataOptions& options) const {
-    const models::Dataset mc = generate(task, n_mc, rng, options);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < mc.size(); ++i) {
-        const double pred = linalg::dot(task.theta_star, mc.feature_row(i)) >= 0.0 ? 1.0 : -1.0;
-        if (pred * mc.label(i) > 0.0) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(mc.size());
-}
-
 models::Dataset generate_regression_data(const linalg::Vector& theta_star, std::size_t n,
                                          double noise_sd, stats::Rng& rng) {
     if (theta_star.size() < 2) {

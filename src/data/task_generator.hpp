@@ -67,7 +67,6 @@ class TaskPopulation {
                                          stats::Rng& rng);
 
     std::size_t feature_dim() const noexcept { return theta_dim_ - 1; }
-    std::size_t theta_dim() const noexcept { return theta_dim_; }
     std::size_t num_modes() const noexcept { return modes_.size(); }
     const std::vector<ParameterMode>& modes() const noexcept { return modes_; }
 
@@ -76,11 +75,6 @@ class TaskPopulation {
     /// Samples one dataset of `n` examples for a device with the given task.
     models::Dataset generate(const TaskSpec& task, std::size_t n, stats::Rng& rng,
                              const DataOptions& options = {}) const;
-
-    /// Bayes-optimal accuracy estimate for a task under given options,
-    /// computed by Monte Carlo with the true theta* as the classifier.
-    double bayes_accuracy(const TaskSpec& task, std::size_t n_mc, stats::Rng& rng,
-                          const DataOptions& options = {}) const;
 
  private:
     std::vector<ParameterMode> modes_;

@@ -103,21 +103,6 @@ void BatchResponsibilities::responsibilities_into(const double* thetas, std::siz
     }
 }
 
-void BatchResponsibilities::map_components_into(const double* thetas, std::size_t count,
-                                                std::size_t* out, util::Workspace& ws) const {
-    responsibility_evals().add(count);
-    if (count == 0) return;
-    const std::size_t num_k = num_components();
-    auto densities = ws.vec(count * num_k);
-    log_densities_into(thetas, count, densities.data(), ws);
-    for (std::size_t i = 0; i < count; ++i) {
-        const double* row = densities.data() + i * num_k;
-        // The softmax is monotone, so the MAP component is the density
-        // argmax; first max wins, matching linalg::argmax.
-        out[i] = static_cast<std::size_t>(std::max_element(row, row + num_k) - row);
-    }
-}
-
 void BatchResponsibilities::score_match_into(const double* thetas, std::size_t count,
                                              const std::size_t* tags, double* accuracy_out,
                                              util::Workspace& ws) const {

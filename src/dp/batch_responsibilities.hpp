@@ -57,11 +57,6 @@ class BatchResponsibilities {
     void responsibilities_into(const double* thetas, std::size_t count, double* out,
                                util::Workspace& ws) const;
 
-    /// out[i] = argmax_k of device i's responsibilities (first max wins,
-    /// like linalg::argmax). `out` must hold count entries.
-    void map_components_into(const double* thetas, std::size_t count, std::size_t* out,
-                             util::Workspace& ws) const;
-
     /// accuracy_out[i] = 1.0 if the MAP component of theta_i equals
     /// tags[i], else 0.0 — the scale fleet's mode-recovery score for a
     /// whole shard in one call.

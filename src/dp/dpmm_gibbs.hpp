@@ -79,14 +79,6 @@ class DpmmGibbs {
     /// out). Diagnostic for mixing tests.
     double log_joint() const;
 
-    /// Posterior over a cluster's mean: N(mean, covariance), plus count.
-    struct ClusterPosterior {
-        std::size_t count = 0;
-        linalg::Vector mean;
-        linalg::Matrix covariance;   ///< V_k (posterior covariance of mu_k)
-    };
-    std::vector<ClusterPosterior> cluster_posteriors() const;
-
     /// Builds the transferable prior (see file comment).
     MixturePrior extract_prior(bool include_base_atom = true) const;
 

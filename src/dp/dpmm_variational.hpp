@@ -46,9 +46,6 @@ class DpmmVariational {
     /// E[pi_k] under the fitted stick posteriors.
     linalg::Vector expected_weights() const;
 
-    /// Posterior mean of mu_k.
-    const linalg::Vector& component_mean(std::size_t k) const { return means_.at(k); }
-
     /// Transferable prior: atoms N(m_k, V_k + Sw), weights E[pi_k];
     /// components with weight below `min_weight` are dropped (and the
     /// remaining weights renormalized).

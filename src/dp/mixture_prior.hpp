@@ -29,7 +29,6 @@ class MixturePrior {
     std::size_t num_components() const noexcept { return atoms_.size(); }
     std::size_t dim() const noexcept { return atoms_.front().dim(); }
     const linalg::Vector& weights() const noexcept { return weights_; }
-    const std::vector<stats::MultivariateNormal>& atoms() const noexcept { return atoms_; }
     const stats::MultivariateNormal& atom(std::size_t k) const { return atoms_.at(k); }
 
     /// log sum_k pi_k N(theta; mu_k, Sigma_k), computed via log-sum-exp.

@@ -75,7 +75,6 @@ StreamingVb::StreamingVb(StreamingVbConfig config, const MixturePrior& init_prio
         }
     }
     refresh_anchor();
-    anchor_epoch_ = 0;  // the bootstrap anchor, not a refresh
 }
 
 StreamingSuffStats StreamingVb::make_stats() const {
@@ -120,12 +119,6 @@ void StreamingVb::apply(const StreamingSuffStats& stats) {
     static obs::Counter& ingested =
         obs::Registry::global().counter("dp.streaming.observations");
     ingested.add(stats.num_observations);
-}
-
-void StreamingVb::ingest(const linalg::Vector& theta) {
-    StreamingSuffStats stats = make_stats();
-    accumulate(theta, stats);
-    apply(stats);
 }
 
 StreamingVb::Posterior StreamingVb::posterior_from_totals() const {
@@ -195,7 +188,6 @@ void StreamingVb::refresh_anchor() {
         anchor_log_norm_[k] =
             -0.5 * (static_cast<double>(dim_) * kLogTwoPi + anchor_predictive_[k].log_det());
     }
-    ++anchor_epoch_;
     static obs::Counter& refreshes =
         obs::Registry::global().counter("dp.streaming.anchor_refreshes");
     refreshes.add(1);

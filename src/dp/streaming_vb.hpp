@@ -18,8 +18,7 @@
 // kSumScale), quantized once at accumulate time. Integer addition is
 // exactly associative and commutative, so any partition of an upload set
 // into per-shard partials, folded in any tree shape or order, produces
-// bit-identical totals — the same property UploadStats gives the engine,
-// extended to posterior updates. (Double accumulators would not: FP
+// bit-identical totals. (Double accumulators would not: FP
 // addition is order-sensitive, and the fleet goldens pin bit-identity
 // across 1/2/4/8 threads and 1/3/8/40 shards.)
 //
@@ -115,17 +114,11 @@ class StreamingVb {
     /// Folds a (possibly merged) partial into the cumulative totals.
     void apply(const StreamingSuffStats& stats);
 
-    /// accumulate + apply for a single upload.
-    void ingest(const linalg::Vector& theta);
-
     /// Recomputes the anchor (responsibility-scoring posterior) from the
     /// cumulative totals. Call when the posterior is about to be shipped —
     /// the lifecycle refreshes on rebroadcast — so in-flight batches keep
     /// folding against the epoch they were scored under.
     void refresh_anchor();
-
-    /// Anchor refreshes so far (0 = still on the bootstrap anchor).
-    std::uint64_t anchor_epoch() const noexcept { return anchor_epoch_; }
 
     const StreamingSuffStats& totals() const noexcept { return totals_; }
 
@@ -162,7 +155,6 @@ class StreamingVb {
     std::vector<linalg::Vector> anchor_means_;
     std::vector<linalg::Cholesky> anchor_predictive_;
     linalg::Vector anchor_log_norm_;     ///< -0.5 (d log 2pi + log|V_k+Sw|)
-    std::uint64_t anchor_epoch_ = 0;
 };
 
 }  // namespace drel::dp

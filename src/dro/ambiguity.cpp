@@ -32,11 +32,6 @@ AmbiguitySet AmbiguitySet::kl(double rho) {
     return {AmbiguityKind::kKl, rho};
 }
 
-AmbiguitySet AmbiguitySet::chi_square(double rho) {
-    check_radius(rho);
-    return {AmbiguityKind::kChiSquare, rho};
-}
-
 std::string AmbiguitySet::to_string() const {
     return std::string(ambiguity_name(kind)) + "(" + std::to_string(radius) + ")";
 }

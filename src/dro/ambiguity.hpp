@@ -20,10 +20,8 @@ struct AmbiguitySet {
     AmbiguityKind kind = AmbiguityKind::kNone;
     double radius = 0.0;
 
-    static AmbiguitySet none() { return {AmbiguityKind::kNone, 0.0}; }
     static AmbiguitySet wasserstein(double rho);
     static AmbiguitySet kl(double rho);
-    static AmbiguitySet chi_square(double rho);
 
     std::string to_string() const;
 };

@@ -36,8 +36,6 @@ class KlDroObjective final : public optim::Objective {
     std::size_t dim() const override;
     double eval(const linalg::Vector& theta, linalg::Vector* grad) const override;
 
-    double rho() const noexcept { return rho_; }
-
  private:
     const models::Dataset* data_;
     const models::Loss* loss_;

@@ -66,42 +66,4 @@ double WassersteinRegressionObjective::eval(const linalg::Vector& theta,
     return value;
 }
 
-double regression_adversary_value(const linalg::Vector& theta, const models::Dataset& data,
-                                  double rho) {
-    if (data.empty()) throw std::invalid_argument("regression_adversary_value: empty dataset");
-    if (!(rho >= 0.0)) {
-        throw std::invalid_argument("regression_adversary_value: rho must be >= 0");
-    }
-    const std::size_t n = data.size();
-    const std::size_t perturbable = perturbable_dims(data);
-    const double tnorm = feature_norm(theta, perturbable);
-
-    // Residuals and their RMS.
-    linalg::Vector residuals(n);
-    double mean_sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        residuals[i] = data.label(i) - linalg::dot(theta, data.feature_row(i));
-        mean_sq += residuals[i] * residuals[i];
-    }
-    mean_sq /= static_cast<double>(n);
-    const double rms = std::sqrt(mean_sq);
-
-    if (tnorm < 1e-15 || rho == 0.0) return mean_sq;
-    if (rms < 1e-15) {
-        // Zero residual everywhere: any equal-budget shift attains rho*||theta||
-        // of new residual per example.
-        return rho * rho * tnorm * tnorm;
-    }
-    // Attaining plan: per-example transport t_i = rho * |r_i| / rms, moving
-    // features along the residual-growing direction. New residual magnitude:
-    // |r_i| * (1 + rho * ||theta_f|| / rms); its mean square is exactly
-    // (rms + rho * ||theta_f||)^2.
-    double value = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double grown = std::fabs(residuals[i]) * (1.0 + rho * tnorm / rms);
-        value += grown * grown;
-    }
-    return value / static_cast<double>(n);
-}
-
 }  // namespace drel::dro

@@ -11,8 +11,7 @@
 // — the square of a "sqrt-ridge" objective. The right-hand side is convex
 // in theta (composition of the convex, nonnegative sqrt-MSE + norm with the
 // increasing convex square), so the robust regression fit stays a smooth
-// convex program. This module provides the objective, its gradient, and a
-// Monte-Carlo adversary used by tests to certify the formula from below.
+// convex program. This module provides the objective and its gradient.
 #pragma once
 
 #include "models/dataset.hpp"
@@ -29,8 +28,6 @@ class WassersteinRegressionObjective final : public optim::Objective {
     std::size_t dim() const override;
     double eval(const linalg::Vector& theta, linalg::Vector* grad) const override;
 
-    double rho() const noexcept { return rho_; }
-
     /// Plain mean squared error at theta (the rho = 0 value).
     double mse(const linalg::Vector& theta) const;
 
@@ -40,13 +37,5 @@ class WassersteinRegressionObjective final : public optim::Objective {
     double l2_;
     std::size_t perturbable_;
 };
-
-/// Feasible adversary for the type-2 ball: shifts each example's features
-/// along the residual-increasing direction with per-example budgets chosen
-/// proportional to |residual| (the profile of the attaining plan), scaled so
-/// the mean squared transport equals rho^2. Its E_Q[squared loss] lower-
-/// bounds the closed form — tests check it gets within a few percent.
-double regression_adversary_value(const linalg::Vector& theta, const models::Dataset& data,
-                                  double rho);
 
 }  // namespace drel::dro

@@ -44,20 +44,14 @@ class CloudNode {
  public:
     explicit CloudNode(CloudConfig config) : config_(std::move(config)) {}
 
-    const CloudConfig& config() const noexcept { return config_; }
-
     /// Registers one contributor's dataset (bias column last).
     void add_contributor_data(models::Dataset data);
 
     std::size_t num_contributors() const noexcept { return contributor_data_.size(); }
 
     /// Fits the per-contributor models (ridge ERM). Called by fit_prior()
-    /// if needed; exposed for inspection.
+    /// if needed.
     void fit_contributor_models();
-
-    const std::vector<linalg::Vector>& contributor_thetas() const noexcept {
-        return contributor_thetas_;
-    }
 
     /// Runs DP mixture inference over the contributor thetas and returns
     /// the transferable prior. Requires >= 2 contributors.

@@ -92,8 +92,6 @@ struct DeviceFaultDecision {
     bool link_outage = false;
     double corrupt_position = 0.0;  ///< in [0,1): which payload byte to garble
 
-    /// Device completes its round's training (possibly on a fallback path).
-    bool device_completes() const noexcept { return !crash; }
     /// The broadcast prior installs intact this round.
     bool prior_usable() const noexcept { return !prior_corrupt && !link_outage; }
 };
@@ -119,7 +117,6 @@ class FaultPlan {
     /// advanced). Throws std::invalid_argument if `config` is invalid.
     FaultPlan(const FaultConfig& config, const stats::Rng& base);
 
-    const FaultConfig& config() const noexcept { return config_; }
     bool active() const noexcept { return active_; }
 
     /// The faults scheduled for (round, device). Pure function of the plan

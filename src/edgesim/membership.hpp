@@ -106,7 +106,6 @@ class ChurnPlan {
     /// advanced). Throws std::invalid_argument if `config` is invalid.
     ChurnPlan(const ChurnConfig& config, const stats::Rng& base);
 
-    const ChurnConfig& config() const noexcept { return config_; }
     bool active() const noexcept { return active_; }
 
     /// The churn scheduled for (round, device). Pure function of the plan

@@ -1,9 +1,11 @@
 // The cloud as a long-running server loop + the event-driven fleet engine.
 //
 // CloudServer models the ingestion side of the paper's cloud at deployment
-// scale: shard upload batches arrive as mergeable sufficient statistics
-// (shard.hpp), pass ADMISSION CONTROL against a bounded queue, and are
-// serviced at a configurable rate on the virtual clock. A full queue
+// scale: shard upload batches (shard.hpp) arrive, pass ADMISSION CONTROL
+// against a bounded queue, and are serviced at a configurable rate on the
+// virtual clock. A batch carries raw thetas only when the driver keeps them
+// (the lifecycle's refit); the scale path charges the wire size of a
+// statistics triple per batch, and no cloud fit consumes one. A full queue
 // REJECTS the batch — backpressure — and every device whose upload rode in
 // it is reported as DegradedReason::kBackpressure, never an abort: the same
 // graceful-degradation contract the fault plan established.
@@ -81,8 +83,6 @@ class CloudServer {
  public:
     explicit CloudServer(ServerConfig config);
 
-    const ServerConfig& config() const noexcept { return config_; }
-
     /// Admission control at virtual time `now`: first services everything
     /// due, then either enqueues the batch (true) or rejects it under
     /// backpressure (false), then services anything already due again — a
@@ -92,7 +92,10 @@ class CloudServer {
     bool offer(UploadBatch batch, double now);
 
     /// Services every queued batch whose completion lands at or before
-    /// `now`, merging its statistics (and thetas, if carried).
+    /// `now`, moving its thetas (if carried) into the serviced buffer.
+    /// Batches without thetas occupy the server for their service time and
+    /// leave nothing behind: no cloud fit consumes the statistics triple
+    /// their wire size stands for.
     void drain_until(double now);
 
     /// Uploads serviced since the last take, sorted by (round, global
@@ -111,15 +114,8 @@ class CloudServer {
     std::vector<std::pair<std::size_t, linalg::Vector>> sample_serviced_thetas(
         std::size_t max_count, stats::Rng& rng);
 
-    /// Cumulative statistics over every serviced batch.
-    const UploadStats& merged_stats() const noexcept { return merged_; }
-
     std::size_t queue_depth() const noexcept { return queue_.size(); }
-    double busy_until() const noexcept { return busy_until_; }
-    std::size_t admitted_batches() const noexcept { return admitted_batches_; }
-    std::size_t rejected_batches() const noexcept { return rejected_batches_; }
     std::size_t rejected_uploads() const noexcept { return rejected_uploads_; }
-    std::size_t serviced_batches() const noexcept { return serviced_batches_; }
 
     /// Tells the server which round the virtual clock is in, so drain can
     /// classify a serviced batch as LAGGED (admitted in an earlier round —
@@ -164,12 +160,8 @@ class CloudServer {
     ServerConfig config_;
     std::deque<Pending> queue_;
     double busy_until_ = 0.0;
-    UploadStats merged_;
     std::vector<ServicedTheta> serviced_thetas_;
-    std::size_t admitted_batches_ = 0;
-    std::size_t rejected_batches_ = 0;
     std::size_t rejected_uploads_ = 0;
-    std::size_t serviced_batches_ = 0;
     std::size_t serviced_lagged_batches_ = 0;
     std::size_t queue_high_water_ = 0;
     std::size_t current_round_ = 0;
@@ -199,7 +191,8 @@ struct EngineConfig {
     double uplink_seconds = 0.5;    ///< shard batch -> server transfer time
 
     /// Ship raw thetas in batches (full-fidelity Gibbs refresh). false =
-    /// sufficient statistics only (the scale path).
+    /// batches carry no thetas and charge only the wire size of a
+    /// statistics triple (the scale path).
     bool keep_thetas = true;
 
     /// Bytes charged once at round 0 for the bootstrap broadcast. The
@@ -236,7 +229,8 @@ struct RoundEndDecision {
 };
 
 /// Called at every kRoundEnd with the drained server; consumes
-/// take_serviced_thetas() / merged_stats() and decides about a re-push.
+/// take_serviced_thetas() or sample_serviced_thetas() and decides about a
+/// re-push.
 using RoundEndFn = std::function<RoundEndDecision(std::size_t round, CloudServer& server)>;
 
 struct EngineRoundStats {
@@ -338,7 +332,8 @@ const std::vector<std::uint8_t>& churn_decisions_for_testing();
 
 /// Fleet-scale run with cheap per-device work: each device samples its mode,
 /// perturbs the mode parameters, scores the broadcast prior by MAP-component
-/// recovery, and uploads sufficient statistics through the sharded engine.
+/// recovery, and uploads through the sharded engine, which charges each
+/// batch the wire size of a statistics triple and carries no thetas.
 /// This is the deployment-shape benchmark — throughput, tail latency, and
 /// bytes/device/round — not a training-accuracy experiment.
 struct ScaleFleetConfig {

@@ -49,42 +49,6 @@ std::vector<ShardLayout> make_shard_layouts(std::size_t devices, std::size_t num
     return layouts;
 }
 
-void UploadStats::add(const linalg::Vector& theta) {
-    if (count == 0 && sum.empty()) {
-        sum.assign(theta.size(), 0.0);
-        sum_sq.assign(theta.size(), 0.0);
-    }
-    if (theta.size() != sum.size()) {
-        throw std::invalid_argument("UploadStats::add: dimension mismatch");
-    }
-    for (std::size_t i = 0; i < theta.size(); ++i) {
-        sum[i] += theta[i];
-        sum_sq[i] += theta[i] * theta[i];
-    }
-    ++count;
-}
-
-void UploadStats::merge(const UploadStats& other) {
-    if (other.count == 0) return;
-    if (count == 0) {
-        *this = other;
-        return;
-    }
-    if (other.sum.size() != sum.size()) {
-        throw std::invalid_argument("UploadStats::merge: dimension mismatch");
-    }
-    for (std::size_t i = 0; i < sum.size(); ++i) {
-        sum[i] += other.sum[i];
-        sum_sq[i] += other.sum_sq[i];
-    }
-    count += other.count;
-}
-
-std::size_t UploadStats::encoded_bytes() const noexcept {
-    // count (u64) + two double vectors; an empty batch still ships the count.
-    return sizeof(std::uint64_t) + 2 * sum.size() * sizeof(double);
-}
-
 void RoundSoA::resize(std::size_t devices) {
     accuracy.assign(devices, 0.0);
     latency_seconds.assign(devices, 0.0);
@@ -184,7 +148,10 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
         soa.upload_retries[j] = static_cast<std::uint32_t>(std::max(0, result.upload_retries));
 
         if (result.attempted_upload && result.upload_delivered && !result.upload_garbled) {
-            out.batch.stats.add(result.theta);
+            if (result.theta.size() != theta_dim_) {
+                throw std::invalid_argument(
+                    "Shard::run_round: uploaded theta dimension != theta_dim");
+            }
             out.batch.devices.push_back(j);
             if (keep_thetas) out.batch.thetas.emplace_back(j, std::move(result.theta));
         }
@@ -200,12 +167,12 @@ ShardRoundOutput Shard::run_round(std::size_t round, const stats::Rng& device_ro
     }
     thread_defer_scratch() = std::move(defer);
 
-    out.batch.on_air_bytes = out.batch.stats.count == 0
-                                 ? 0
-                                 : out.batch.stats.encoded_bytes() +
-                                       (keep_thetas ? out.batch.stats.count * theta_dim_ *
-                                                          sizeof(double)
-                                                    : 0);
+    const std::size_t uploads = out.batch.devices.size();
+    const std::size_t theta_bytes = theta_dim_ * sizeof(double);
+    out.batch.on_air_bytes =
+        uploads == 0 ? 0
+                     : sizeof(std::uint64_t) + 2 * theta_bytes +
+                           (keep_thetas ? uploads * theta_bytes : 0);
     return out;
 }
 

@@ -65,37 +65,24 @@ struct ShardLayout {
 /// treated as 1; shards beyond the device count come back empty.
 std::vector<ShardLayout> make_shard_layouts(std::size_t devices, std::size_t num_shards);
 
-/// Mergeable sufficient statistics of a set of uploaded parameter vectors:
-/// count, per-coordinate sum and sum of squares. Merging is associative, so
-/// shard batches can be combined in any grouping — what lets the server
-/// ingest batches instead of individual uploads.
-struct UploadStats {
-    std::size_t count = 0;
-    linalg::Vector sum;     ///< Σ theta
-    linalg::Vector sum_sq;  ///< Σ theta ⊙ theta
-
-    void add(const linalg::Vector& theta);
-    void merge(const UploadStats& other);
-
-    /// Wire size of the statistics triple (count + 2 vectors of doubles).
-    std::size_t encoded_bytes() const noexcept;
-};
-
 /// One shard's aggregated uploads for one round — the unit of admission at
 /// the server. Carries the raw thetas only when the consumer needs full
-/// fidelity (the lifecycle's Gibbs refresh); the scale path ships the
-/// sufficient statistics alone.
+/// fidelity (the lifecycle's Gibbs refresh); the scale path carries none.
 struct UploadBatch {
     std::uint32_t round = 0;
     std::uint32_t shard = 0;
-    UploadStats stats;
     /// (global device index, theta) for full-fidelity consumers, in device
-    /// order. Empty when the engine runs on sufficient statistics only.
+    /// order. Empty when the engine runs without keep_thetas.
     std::vector<std::pair<std::size_t, linalg::Vector>> thetas;
     /// Global indices of devices whose upload rode in this batch (delivered
     /// AND usable) — the devices to mark degraded if the batch is rejected.
     std::vector<std::size_t> devices;
-    /// Shard -> server transfer cost for this batch on the wire.
+    /// Shard -> server transfer cost for this batch on the wire: 0 for an
+    /// empty batch, else the size of a sufficient-statistics triple
+    /// (u64 count, Σ theta, Σ theta ⊙ theta: 8 + 16·d bytes) plus, with
+    /// keep_thetas, the raw thetas (k·d·8 bytes for k uploads). The triple
+    /// itself is never computed: no cloud fit consumes it, so the batch
+    /// charges only its wire size.
     std::size_t on_air_bytes = 0;
 };
 
@@ -192,7 +179,9 @@ class Shard {
     /// Computes the slice [layout.begin, layout.end) for `round`: derives
     /// each device's work/latency streams, applies the fault plan, runs
     /// `work`, writes the SoA slice, and assembles the upload batch
-    /// (sufficient stats always; raw thetas when `keep_thetas`).
+    /// (delivered devices and wire size always; raw thetas when
+    /// `keep_thetas`). Throws std::invalid_argument when a batched upload's
+    /// theta does not have the shard's theta_dim entries.
     /// `deadline_seconds` caps healthy latency draws; stragglers land past
     /// it deterministically. Devices whose result sets `defer_score` are
     /// collected and scored by `batch_score` in ONE call after the device

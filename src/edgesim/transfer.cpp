@@ -390,29 +390,6 @@ void EncodingOptions::validate() const {
     }
 }
 
-std::uint32_t negotiate_wire_version(std::uint32_t server_max, std::uint32_t device_max) {
-    // A peer advertising a FUTURE version is fine — it also speaks ours, so
-    // the wire clamps to what both sides implement. A peer advertising 0
-    // speaks nothing we can emit.
-    const std::uint32_t version = std::min({server_max, device_max, kMaxWireVersion});
-    if (version < kWireV1) {
-        throw std::invalid_argument("negotiate_wire_version: no common version");
-    }
-    return version;
-}
-
-EncodingOptions negotiated_options(EncodingOptions server_prefs,
-                                   std::uint32_t device_max) {
-    const std::uint32_t version = negotiate_wire_version(server_prefs.version, device_max);
-    server_prefs.version = version;
-    if (version < kWireV2) {
-        server_prefs.quantized = false;
-        server_prefs.delta = false;
-    }
-    server_prefs.validate();
-    return server_prefs;
-}
-
 std::size_t encoded_size(std::size_t num_components, std::size_t dim,
                          const EncodingOptions& options) {
     if (options.version == kWireV1) {
@@ -611,19 +588,6 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
     static obs::Counter& decodes = obs::Registry::global().counter("transfer.decodes");
     decodes.add(1);
     return dp::MixturePrior(std::move(weights), std::move(atoms));
-}
-
-std::optional<dp::MixturePrior> try_decode_prior(const std::vector<std::uint8_t>& buffer,
-                                                 const PriorBase* base,
-                                                 std::uint32_t max_version) {
-    try {
-        return decode_prior(buffer, base, max_version);
-    } catch (const std::exception&) {
-        static obs::Counter& rejected =
-            obs::Registry::global().counter("transfer.decode_rejected");
-        rejected.add(1);
-        return std::nullopt;
-    }
 }
 
 }  // namespace drel::edgesim

@@ -41,20 +41,17 @@
 //   kFlagQuantized    v2   bit-packed affine quantization per section
 //   kFlagDelta        v2   per-atom delta against the last-acked prior
 //
-// Version negotiation: a server and a device each advertise the highest
-// version they speak; the wire runs min(server, device)
-// (negotiate_wire_version), and negotiated_options() clamps a server's
-// preferred options down to what the negotiated version can express — a v2
-// server still emits plain v1 to a v1-only device. Decoders take a
-// `max_version` (default: newest) so a v1-only device rejects a v2 payload
-// with a clear error, and every decoder validates magic, version, flags,
-// header geometry and buffer length BEFORE the K x d x d allocation and
-// throws std::invalid_argument on any malformed input (fuzzed with
-// truncated, bit-flipped and overlong buffers for both versions).
+// The sender picks the version (EncodingOptions::version); nothing
+// negotiates it. Decoders take a `max_version` (default: newest) so a
+// v1-only device rejects a v2 payload with a clear error, and every decoder
+// validates magic, version, flags, header geometry and buffer length BEFORE
+// the K x d x d allocation and throws std::invalid_argument on any malformed
+// input (fuzzed with truncated, bit-flipped and overlong buffers for both
+// versions). Tolerant receivers catch that exception
+// (EdgeDevice::try_receive_prior).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "dp/mixture_prior.hpp"
@@ -105,8 +102,7 @@ struct PriorBase {
     std::uint64_t version = 0;
 };
 
-/// Header fields surfaced to callers that negotiate (optional out-param of
-/// decode_prior).
+/// Header fields of a decoded frame (optional out-param of decode_prior).
 struct WireInfo {
     std::uint32_t version = 0;
     std::uint32_t flags = 0;
@@ -114,15 +110,6 @@ struct WireInfo {
     std::size_t num_components = 0;
     std::size_t dim = 0;
 };
-
-/// min(server_max, device_max); throws std::invalid_argument when either
-/// side speaks no supported version.
-std::uint32_t negotiate_wire_version(std::uint32_t server_max, std::uint32_t device_max);
-
-/// Clamps the server's preferred options to what a device speaking at most
-/// `device_max` can decode: the version drops to the negotiated one and
-/// v2-only features (quantized, delta) are shed on a v1 wire.
-EncodingOptions negotiated_options(EncodingOptions server_prefs, std::uint32_t device_max);
 
 /// Encodes under `options`. `base` is required when options.delta is set
 /// (and must match the prior's dimension); ignored otherwise.
@@ -138,15 +125,6 @@ dp::MixturePrior decode_prior(const std::vector<std::uint8_t>& buffer,
                               const PriorBase* base = nullptr,
                               std::uint32_t max_version = kMaxWireVersion,
                               WireInfo* info = nullptr);
-
-/// Non-throwing decode for tolerant receivers: std::nullopt on any
-/// malformed buffer (what decode_prior would reject). Counts rejected
-/// payloads under `transfer.decode_rejected`. The graceful-degradation
-/// entry point — a device that gets nullopt falls back to local-only ERM
-/// instead of aborting its round (see edgesim/faults.hpp).
-std::optional<dp::MixturePrior> try_decode_prior(const std::vector<std::uint8_t>& buffer,
-                                                 const PriorBase* base = nullptr,
-                                                 std::uint32_t max_version = kMaxWireVersion);
 
 /// Exact size in bytes that encode_prior would produce for non-delta
 /// options. For delta options this is the worst case (every atom present);

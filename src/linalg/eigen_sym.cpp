@@ -77,21 +77,4 @@ EigenSym eigen_sym(const Matrix& input, int max_sweeps) {
     return out;
 }
 
-Matrix sqrt_psd(const Matrix& a, double tol) {
-    const EigenSym es = eigen_sym(a);
-    const std::size_t n = a.rows();
-    for (const double lambda : es.values) {
-        if (lambda < -tol) throw std::invalid_argument("sqrt_psd: matrix is not PSD");
-    }
-    // B = V diag(sqrt(max(lambda,0))) Vᵀ
-    Matrix scaled = es.vectors;
-    for (std::size_t c = 0; c < n; ++c) {
-        const double s = std::sqrt(std::max(0.0, es.values[c]));
-        for (std::size_t r = 0; r < n; ++r) scaled(r, c) *= s;
-    }
-    return scaled.matmul(es.vectors.transposed());
-}
-
-double min_eigenvalue(const Matrix& a) { return eigen_sym(a).values.front(); }
-
 }  // namespace drel::linalg

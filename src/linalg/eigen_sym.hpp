@@ -1,8 +1,4 @@
 // Symmetric eigendecomposition via the cyclic Jacobi method.
-//
-// Needed to (a) validate that transferred covariance atoms are PSD,
-// (b) compute matrix square roots for Gaussian sampling from full
-// covariances, and (c) report condition numbers in the diagnostics.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -21,11 +17,5 @@ struct EigenSym {
 /// as (A + Aᵀ)/2 before iterating, so slight asymmetry from accumulation is
 /// tolerated. Throws std::invalid_argument on non-square input.
 EigenSym eigen_sym(const Matrix& a, int max_sweeps = 64);
-
-/// Symmetric square root: B with B B = A (A must be PSD up to `tol`).
-Matrix sqrt_psd(const Matrix& a, double tol = 1e-9);
-
-/// Smallest eigenvalue (convenience).
-double min_eigenvalue(const Matrix& a);
 
 }  // namespace drel::linalg

@@ -35,14 +35,6 @@ Matrix Matrix::diagonal(const Vector& d) {
     return out;
 }
 
-Matrix Matrix::outer(const Vector& x, const Vector& y) {
-    Matrix out(x.size(), y.size());
-    for (std::size_t r = 0; r < x.size(); ++r) {
-        for (std::size_t c = 0; c < y.size(); ++c) out(r, c) = x[r] * y[c];
-    }
-    return out;
-}
-
 double& Matrix::at(std::size_t r, std::size_t c) {
     if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at: index out of range");
     return (*this)(r, c);
@@ -92,17 +84,6 @@ void Matrix::matvec_into(const Vector& x, Vector& out) const {
     for (std::size_t r = 0; r < rows_; ++r) {
         out[r] = dot_n(data_.data() + r * cols_, x.data(), cols_);
     }
-}
-
-Vector Matrix::matvec_transposed(const Vector& x) const {
-    if (x.size() != rows_) shape_error("matvec_transposed");
-    Vector out(cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        axpy_n(xr, data_.data() + r * cols_, out.data(), cols_);
-    }
-    return out;
 }
 
 Matrix Matrix::matmul(const Matrix& other) const {
@@ -184,12 +165,6 @@ double Matrix::trace() const {
     double acc = 0.0;
     for (std::size_t i = 0; i < rows_; ++i) acc += (*this)(i, i);
     return acc;
-}
-
-double Matrix::frobenius_norm() const noexcept {
-    double acc = 0.0;
-    for (const double v : data_) acc += v * v;
-    return std::sqrt(acc);
 }
 
 double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {

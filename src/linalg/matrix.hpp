@@ -24,8 +24,6 @@ class Matrix {
 
     static Matrix identity(std::size_t n);
     static Matrix diagonal(const Vector& d);
-    /// Rank-1 matrix x yᵀ.
-    static Matrix outer(const Vector& x, const Vector& y);
 
     std::size_t rows() const noexcept { return rows_; }
     std::size_t cols() const noexcept { return cols_; }
@@ -56,8 +54,6 @@ class Matrix {
     Vector matvec(const Vector& x) const;
     /// this * x written into an existing buffer (resized; must not alias x).
     void matvec_into(const Vector& x, Vector& out) const;
-    /// thisᵀ * x
-    Vector matvec_transposed(const Vector& x) const;
     /// this * other
     Matrix matmul(const Matrix& other) const;
 
@@ -81,7 +77,6 @@ class Matrix {
     void add_outer(double alpha, const Vector& x);
 
     double trace() const;
-    double frobenius_norm() const noexcept;
 
     /// Max |a_ij - b_ij|; throws on shape mismatch.
     static double max_abs_diff(const Matrix& a, const Matrix& b);

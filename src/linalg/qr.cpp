@@ -44,18 +44,4 @@ QR::QR(const Matrix& a) : q_(0, 0), r_(0, 0) {
     r_ = std::move(r);
 }
 
-Vector QR::solve_least_squares(const Vector& b) const {
-    if (b.size() != q_.rows()) throw std::invalid_argument("QR::solve: dimension mismatch");
-    // x = R⁻¹ Qᵀ b
-    const Vector qtb = q_.matvec_transposed(b);
-    const std::size_t n = r_.rows();
-    Vector x(n);
-    for (std::size_t ii = n; ii-- > 0;) {
-        double acc = qtb[ii];
-        for (std::size_t k = ii + 1; k < n; ++k) acc -= r_(ii, k) * x[k];
-        x[ii] = acc / r_(ii, ii);
-    }
-    return x;
-}
-
 }  // namespace drel::linalg

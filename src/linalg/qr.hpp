@@ -1,7 +1,4 @@
-// Householder QR factorization and least-squares solve.
-//
-// Used by the baselines (ridge / least squares) and by tests as an
-// independent check on the Cholesky-based normal-equation solves.
+// Householder QR factorization.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -18,9 +15,6 @@ class QR {
 
     const Matrix& q() const noexcept { return q_; }
     const Matrix& r() const noexcept { return r_; }
-
-    /// Minimizes ||A x - b||₂.
-    Vector solve_least_squares(const Vector& b) const;
 
  private:
     Matrix q_;

@@ -83,38 +83,6 @@ Dataset Dataset::concatenate(const Dataset& a, const Dataset& b) {
     return Dataset(std::move(f), std::move(l));
 }
 
-linalg::Vector Dataset::Standardizer::apply_to(const linalg::Vector& x) const {
-    if (x.size() != mean.size()) {
-        throw std::invalid_argument("Standardizer: dimension mismatch");
-    }
-    linalg::Vector out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) out[i] = (x[i] - mean[i]) / stddev[i];
-    return out;
-}
-
-Dataset Dataset::Standardizer::apply_to(const Dataset& d) const {
-    linalg::Matrix f(d.size(), d.dim());
-    for (std::size_t i = 0; i < d.size(); ++i) f.set_row(i, apply_to(d.feature_row(i)));
-    return Dataset(std::move(f), d.labels());
-}
-
-Dataset::Standardizer Dataset::fit_standardizer() const {
-    if (empty()) throw std::invalid_argument("fit_standardizer: empty dataset");
-    Standardizer s;
-    s.mean = linalg::zeros(dim());
-    s.stddev = linalg::zeros(dim());
-    for (std::size_t i = 0; i < size(); ++i) linalg::axpy(1.0, feature_row(i), s.mean);
-    linalg::scale(s.mean, 1.0 / static_cast<double>(size()));
-    for (std::size_t i = 0; i < size(); ++i) {
-        const linalg::Vector diff = linalg::sub(feature_row(i), s.mean);
-        for (std::size_t c = 0; c < dim(); ++c) s.stddev[c] += diff[c] * diff[c];
-    }
-    for (std::size_t c = 0; c < dim(); ++c) {
-        s.stddev[c] = std::max(std::sqrt(s.stddev[c] / static_cast<double>(size())), 1e-12);
-    }
-    return s;
-}
-
 double Dataset::positive_fraction() const {
     if (empty()) return 0.0;
     std::size_t positives = 0;
@@ -122,16 +90,6 @@ double Dataset::positive_fraction() const {
         if (y > 0.0) ++positives;
     }
     return static_cast<double>(positives) / static_cast<double>(size());
-}
-
-Dataset with_bias_feature(const Dataset& d) {
-    linalg::Matrix f(d.size(), d.dim() + 1);
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        const linalg::Vector row = d.feature_row(i);
-        for (std::size_t c = 0; c < d.dim(); ++c) f(i, c) = row[c];
-        f(i, d.dim()) = 1.0;
-    }
-    return Dataset(std::move(f), d.labels());
 }
 
 }  // namespace drel::models

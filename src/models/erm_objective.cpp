@@ -15,30 +15,25 @@ double ErmObjective::eval(const linalg::Vector& w, linalg::Vector* grad) const {
     if (grad) grad->assign(dim(), 0.0);
 
     const std::size_t n = data_->size();
-    if (example_weights_ && example_weights_->size() != n) {
-        throw std::invalid_argument("ErmObjective: example-weight size mismatch");
-    }
     const std::size_t d = dim();
     const double uniform = 1.0 / static_cast<double>(n);
     double value = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-        const double qi = example_weights_ ? (*example_weights_)[i] : uniform;
-        if (qi == 0.0) continue;
         const double* xi = data_->feature_row_data(i);
         const double yi = data_->label(i);
         const double score = linalg::dot_n(w.data(), xi, d);
         if (loss_->is_margin_loss()) {
             const double z = yi * score;
-            value += qi * loss_->phi(z);
+            value += uniform * loss_->phi(z);
             if (grad) {
-                const double coeff = qi * loss_->dphi(z) * yi;
+                const double coeff = uniform * loss_->dphi(z) * yi;
                 linalg::axpy_n(coeff, xi, grad->data(), d);
             }
         } else {
             const double r = yi - score;
-            value += qi * loss_->phi(r);
+            value += uniform * loss_->phi(r);
             if (grad) {
-                const double coeff = -qi * loss_->dphi(r);
+                const double coeff = -uniform * loss_->dphi(r);
                 linalg::axpy_n(coeff, xi, grad->data(), d);
             }
         }

@@ -26,7 +26,6 @@ class LogisticLoss final : public Loss {
     }
 
     double lipschitz() const noexcept override { return 1.0; }
-    double smoothness() const noexcept override { return 0.25; }
 };
 
 class SmoothedHingeLoss final : public Loss {
@@ -48,7 +47,6 @@ class SmoothedHingeLoss final : public Loss {
     }
 
     double lipschitz() const noexcept override { return 1.0; }
-    double smoothness() const noexcept override { return 1.0; }
 };
 
 class SquaredLoss final : public Loss {
@@ -62,7 +60,6 @@ class SquaredLoss final : public Loss {
     double lipschitz() const noexcept override {
         return std::numeric_limits<double>::infinity();
     }
-    double smoothness() const noexcept override { return 1.0; }
 };
 
 class HuberLoss final : public Loss {
@@ -88,7 +85,6 @@ class HuberLoss final : public Loss {
     }
 
     double lipschitz() const noexcept override { return delta_; }
-    double smoothness() const noexcept override { return 1.0; }
 
  private:
     double delta_;

@@ -34,9 +34,6 @@ class Loss {
 
     /// Global Lipschitz constant of phi; +inf if unbounded (squared loss).
     virtual double lipschitz() const noexcept = 0;
-
-    /// Smoothness (gradient-Lipschitz) constant of phi, used for step sizing.
-    virtual double smoothness() const noexcept = 0;
 };
 
 /// phi(z) = log(1 + exp(-z)); Lipschitz 1, smoothness 1/4.

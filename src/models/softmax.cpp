@@ -29,13 +29,6 @@ SoftmaxModel SoftmaxModel::zeros(std::size_t num_classes, std::size_t dim) {
     return SoftmaxModel(num_classes, linalg::Vector(num_classes * dim, 0.0));
 }
 
-linalg::Vector SoftmaxModel::class_weights(std::size_t c) const {
-    if (c >= num_classes_) throw std::out_of_range("SoftmaxModel::class_weights");
-    const std::size_t d = feature_dim();
-    return linalg::Vector(stacked_.begin() + static_cast<std::ptrdiff_t>(c * d),
-                          stacked_.begin() + static_cast<std::ptrdiff_t>((c + 1) * d));
-}
-
 linalg::Vector SoftmaxModel::logits(const linalg::Vector& x) const {
     const std::size_t d = feature_dim();
     if (x.size() != d) throw std::invalid_argument("SoftmaxModel::logits: dimension mismatch");
@@ -63,27 +56,6 @@ double SoftmaxModel::example_loss(const linalg::Vector& x, std::size_t label) co
     if (label >= num_classes_) throw std::out_of_range("SoftmaxModel::example_loss: label");
     const linalg::Vector z = logits(x);
     return linalg::log_sum_exp(z) - z[label];
-}
-
-double SoftmaxModel::pairwise_feature_norm(std::size_t perturbable) const {
-    const std::size_t d = feature_dim();
-    if (perturbable > d) {
-        throw std::invalid_argument("SoftmaxModel::pairwise_feature_norm: bad perturbable");
-    }
-    double best = 0.0;
-    for (std::size_t a = 0; a < num_classes_; ++a) {
-        for (std::size_t b = a + 1; b < num_classes_; ++b) {
-            double acc = 0.0;
-            const double* ra = stacked_.data() + a * d;
-            const double* rb = stacked_.data() + b * d;
-            for (std::size_t i = 0; i < perturbable; ++i) {
-                const double diff = ra[i] - rb[i];
-                acc += diff * diff;
-            }
-            best = std::max(best, acc);
-        }
-    }
-    return std::sqrt(best);
 }
 
 SoftmaxErmObjective::SoftmaxErmObjective(const Dataset& data, std::size_t num_classes,

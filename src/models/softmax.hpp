@@ -41,10 +41,6 @@ class SoftmaxModel {
     std::size_t feature_dim() const noexcept {
         return num_classes_ == 0 ? 0 : stacked_.size() / num_classes_;
     }
-    const linalg::Vector& stacked() const noexcept { return stacked_; }
-
-    /// Row c of W (a copy).
-    linalg::Vector class_weights(std::size_t c) const;
 
     /// Logits W x.
     linalg::Vector logits(const linalg::Vector& x) const;
@@ -57,10 +53,6 @@ class SoftmaxModel {
 
     /// Cross-entropy of one example.
     double example_loss(const linalg::Vector& x, std::size_t label) const;
-
-    /// max_{c != c'} || (W_c - W_c') restricted to first `perturbable` ||_2 —
-    /// the Lipschitz modulus of the loss in the features.
-    double pairwise_feature_norm(std::size_t perturbable) const;
 
  private:
     std::size_t num_classes_ = 0;
@@ -95,8 +87,6 @@ class SoftmaxWassersteinObjective final : public SoftmaxErmObjective {
                                 double l2 = 0.0);
 
     double eval(const linalg::Vector& stacked, linalg::Vector* grad) const override;
-
-    double rho() const noexcept { return rho_; }
 
  private:
     const Dataset* data_;

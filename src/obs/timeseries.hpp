@@ -52,16 +52,14 @@ class RoundSeries {
     /// `names` points at `num_columns` static strings naming the columns.
     RoundSeries(const char* const* names, std::size_t num_columns);
 
-    std::size_t num_columns() const noexcept { return num_columns_; }
     std::size_t num_rows() const noexcept {
         return num_columns_ == 0 ? 0 : data_.size() / num_columns_;
     }
-    const char* column_name(std::size_t col) const;
 
     /// Index of the named column; throws std::invalid_argument if absent.
     std::size_t column_index(std::string_view name) const;
 
-    /// Appends one row of `num_columns()` values. Early-returns (recording
+    /// Appends one row with one value per column. Early-returns (recording
     /// nothing, allocating nothing) when metrics are disabled — the
     /// recording-site contract shared with Counter::add. Throws
     /// std::invalid_argument on a size mismatch or an empty schema.
@@ -103,8 +101,6 @@ class FlightRecorder {
     std::size_t capacity() const noexcept { return capacity_; }
     /// Events currently retained (<= capacity).
     std::size_t size() const noexcept;
-    /// Events ever recorded (the ring keeps the last `capacity` of them).
-    std::uint64_t total_recorded() const noexcept { return next_seq_; }
     /// True once the ring storage exists; stays false under DREL_METRICS=0
     /// (the zero-allocation contract the disabled-path test pins).
     bool buffer_allocated() const noexcept { return !ring_.empty(); }

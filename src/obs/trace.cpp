@@ -50,11 +50,6 @@ void TraceCollector::record(const char* name, std::uint64_t ts_us,
     events_.push_back(Event{name, ts_us, dur_us, tid});
 }
 
-std::size_t TraceCollector::event_count() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
-}
-
 void TraceCollector::clear() {
     const std::lock_guard<std::mutex> lock(mutex_);
     events_.clear();

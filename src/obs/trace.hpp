@@ -45,7 +45,6 @@ class TraceCollector {
     /// outlives the collector (string literals at the macro call sites).
     void record(const char* name, std::uint64_t ts_us, std::uint64_t dur_us) noexcept;
 
-    std::size_t event_count() const;
     void clear();
 
     /// The chrome://tracing JSON document for everything recorded so far.

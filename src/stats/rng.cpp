@@ -140,11 +140,6 @@ double Rng::beta(double a, double b) {
     return x / (x + y);
 }
 
-double Rng::exponential(double rate) {
-    if (!(rate > 0.0)) throw std::invalid_argument("Rng::exponential: rate must be positive");
-    return std::exponential_distribution<double>(rate)(engine_);
-}
-
 std::size_t Rng::categorical(const linalg::Vector& weights) {
     if (weights.empty()) throw std::invalid_argument("Rng::categorical: empty weights");
     double total = 0.0;
@@ -161,25 +156,6 @@ std::size_t Rng::categorical(const linalg::Vector& weights) {
         if (u <= 0.0) return i;
     }
     return weights.size() - 1;  // round-off fallthrough
-}
-
-linalg::Vector Rng::dirichlet(const linalg::Vector& alpha) {
-    if (alpha.empty()) throw std::invalid_argument("Rng::dirichlet: empty alpha");
-    linalg::Vector out(alpha.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < alpha.size(); ++i) {
-        out[i] = gamma(alpha[i]);
-        total += out[i];
-    }
-    if (total <= 0.0) {
-        // Extremely small alphas can underflow every gamma draw; fall back to
-        // a one-hot draw, which is the correct limiting behaviour.
-        linalg::Vector one_hot(alpha.size(), 0.0);
-        one_hot[categorical(alpha)] = 1.0;
-        return one_hot;
-    }
-    for (double& v : out) v /= total;
-    return out;
 }
 
 void Rng::fill_standard_normal(double* out, std::size_t n) noexcept {
@@ -199,13 +175,6 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
         std::swap(out[i - 1], out[uniform_index(i)]);
     }
     return out;
-}
-
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
-    if (k > n) throw std::invalid_argument("Rng::sample_without_replacement: k > n");
-    std::vector<std::size_t> perm = permutation(n);
-    perm.resize(k);
-    return perm;
 }
 
 }  // namespace drel::stats

@@ -66,15 +66,9 @@ class Rng {
     /// Beta(a, b)
     double beta(double a, double b);
 
-    /// Exponential with the given rate.
-    double exponential(double rate);
-
     /// Draws an index with probability proportional to `weights` (must be
     /// non-negative and not all zero).
     std::size_t categorical(const linalg::Vector& weights);
-
-    /// Draws from Dirichlet(alpha).
-    linalg::Vector dirichlet(const linalg::Vector& alpha);
 
     /// Writes n iid N(0,1) draws to out[0, n): exactly n calls of normal().
     void fill_standard_normal(double* out, std::size_t n) noexcept;
@@ -84,9 +78,6 @@ class Rng {
 
     /// Fisher–Yates shuffle of indices [0, n).
     std::vector<std::size_t> permutation(std::size_t n);
-
-    /// Samples `k` distinct indices from [0, n) without replacement.
-    std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
  private:
     /// MT19937-64 with lazy seeding and a lazy first twist. Output is

@@ -18,7 +18,6 @@ void WeightedReservoir::offer(std::size_t item, double weight, Rng& rng) {
     if (weight < 0.0 || !std::isfinite(weight)) {
         throw std::invalid_argument("WeightedReservoir: weight must be finite and >= 0");
     }
-    ++offered_;
     const auto cmp = [](const Entry& a, const Entry& b) noexcept { return a.key > b.key; };
 
     if (heap_.size() < capacity_) {

@@ -43,7 +43,6 @@ class WeightedReservoir {
 
     std::size_t capacity() const noexcept { return capacity_; }
     std::size_t size() const noexcept { return heap_.size(); }
-    std::size_t offered() const noexcept { return offered_; }
 
     /// The selected items, sorted ascending — a deterministic order for
     /// consumers (heap order is an implementation detail).
@@ -58,7 +57,6 @@ class WeightedReservoir {
     void arm_jump(Rng& rng);
 
     std::size_t capacity_;
-    std::size_t offered_ = 0;
     std::vector<Entry> heap_;      ///< min-heap on key
     double skip_remaining_ = 0.0;  ///< weight left to jump before the next admission
     bool jump_armed_ = false;

@@ -1,6 +1,5 @@
 #include "util/logging.hpp"
 
-#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +25,7 @@ LogLevel level_from_env() noexcept {
     return LogLevel::kWarn;
 }
 
-std::atomic<LogLevel> g_level{level_from_env()};
+const LogLevel g_level = level_from_env();
 std::mutex g_mutex;
 
 const char* level_name(LogLevel level) noexcept {
@@ -48,9 +47,7 @@ double seconds_since_start() noexcept {
 
 }  // namespace
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
+LogLevel log_level() noexcept { return g_level; }
 
 void log_line(LogLevel level, std::string_view component, std::string_view message) {
     if (static_cast<int>(level) < static_cast<int>(log_level())) return;

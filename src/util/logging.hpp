@@ -16,8 +16,7 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Global minimum level; messages below it are discarded. The initial level
 /// is read from the DREL_LOG_LEVEL environment variable
 /// (debug|info|warn|error|off, case-insensitive); unset or unrecognized
-/// values default to kWarn. set_log_level() overrides it at runtime.
-void set_log_level(LogLevel level) noexcept;
+/// values default to kWarn.
 LogLevel log_level() noexcept;
 
 /// Emit one line at `level` with a monotonic timestamp prefix.

@@ -32,11 +32,6 @@ void ThreadPool::shutdown() {
     }
 }
 
-bool ThreadPool::is_shutting_down() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return stopping_;
-}
-
 std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::packaged_task<void()> packaged(std::move(task));
     std::future<void> future = packaged.get_future();

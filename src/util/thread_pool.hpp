@@ -1,10 +1,9 @@
 // Fixed-size thread pool with explicit shutdown semantics.
 //
 // The pool is deliberately minimal: fixed worker count, FIFO queue, futures
-// for joining, no work stealing. Higher-level parallel loops (parallel_for,
-// parallel_for_chunked, parallel_reduce) live in util/executor.hpp and run
-// on a shared, lazily-created global instance of this pool so hot paths do
-// not pay thread creation per call.
+// for joining, no work stealing. The higher-level parallel_for lives in
+// util/executor.hpp and runs on a shared, lazily-created global instance of
+// this pool so hot paths do not pay thread creation per call.
 //
 // Shutdown semantics are explicit (ShutdownPolicy):
 //   * kDrain (default): the destructor (or shutdown()) lets workers finish
@@ -54,10 +53,6 @@ class ThreadPool {
     /// With kAbandon, queued tasks are destroyed here and their futures
     /// receive std::future_error{broken_promise}.
     void shutdown();
-
-    /// True once shutdown has begun (visible to tests that need to sequence
-    /// against the stop signal).
-    bool is_shutting_down() const;
 
  private:
     void worker_loop();

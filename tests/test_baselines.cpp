@@ -41,7 +41,7 @@ TEST(Baselines, RidgeShrinksRelativeToErm) {
 TEST(Baselines, CloudOnlyReturnsPriorMean) {
     const Fixture f = make_fixture(3);
     const auto model = make_cloud_only(f.prior)->fit(f.train);
-    EXPECT_NEAR(linalg::distance2(model.weights(), f.prior.mean()), 0.0, 1e-15);
+    EXPECT_NEAR(test_support::distance2(model.weights(), f.prior.mean()), 0.0, 1e-15);
 }
 
 TEST(Baselines, FinetuneStartsFromCloudAndImproves) {
@@ -62,9 +62,9 @@ TEST(Baselines, MapGaussianInterpolatesTowardPrior) {
     const auto strong = make_map_gaussian(f.prior, models::LossKind::kLogistic, 1000.0);
     const linalg::Vector prior_mean = f.prior.moment_matched_gaussian().mean();
     const double dist_weak =
-        linalg::distance2(weak->fit(f.train).weights(), prior_mean);
+        test_support::distance2(weak->fit(f.train).weights(), prior_mean);
     const double dist_strong =
-        linalg::distance2(strong->fit(f.train).weights(), prior_mean);
+        test_support::distance2(strong->fit(f.train).weights(), prior_mean);
     EXPECT_LT(dist_strong, dist_weak);
 }
 
@@ -82,14 +82,6 @@ TEST(Baselines, DroOnlyProducesSmallerWeightsThanErm) {
         make_dro_only(models::LossKind::kLogistic, dro::AmbiguityKind::kWasserstein, 1.0)
             ->fit(f.train);
     EXPECT_LT(linalg::norm2(dro_model.weights()), linalg::norm2(erm_model.weights()) + 1e-9);
-}
-
-TEST(Baselines, PriorMapIgnoresData) {
-    const Fixture f = make_fixture(7);
-    const auto trainer = make_prior_map(f.prior);
-    const models::LinearModel a = trainer->fit(f.train);
-    const models::LinearModel b = trainer->fit(f.test);
-    EXPECT_NEAR(linalg::distance2(a.weights(), b.weights()), 0.0, 0.0);
 }
 
 TEST(Baselines, EmDroTrainerWrapsEdgeLearner) {

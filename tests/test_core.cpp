@@ -116,7 +116,7 @@ TEST(EmDro, ZeroTransferWeightEqualsPureDro) {
 TEST(EmDro, LargeTransferWeightPinsToPrior) {
     const Fixture f = make_fixture(5);
     const auto loss = models::make_logistic_loss();
-    const EmDroSolver solver(f.train, *loss, f.prior, dro::AmbiguitySet::none(), 1e6);
+    const EmDroSolver solver(f.train, *loss, f.prior, dro::AmbiguitySet{}, 1e6);
     const EmDroResult r = solver.solve();
     // With overwhelming prior weight, theta must sit essentially at a prior
     // mode: its log-density should be within a hair of the best atom's.
@@ -134,9 +134,9 @@ TEST(EmDro, DimensionValidation) {
     // Prior of wrong dimension must be rejected at construction.
     const dp::MixturePrior bad =
         dp::MixturePrior::single(stats::MultivariateNormal::isotropic({0.0, 0.0}, 1.0));
-    EXPECT_THROW(EmDroSolver(f.train, *loss, bad, dro::AmbiguitySet::none(), 1.0),
+    EXPECT_THROW(EmDroSolver(f.train, *loss, bad, dro::AmbiguitySet{}, 1.0),
                  std::invalid_argument);
-    const EmDroSolver solver(f.train, *loss, f.prior, dro::AmbiguitySet::none(), 1.0);
+    const EmDroSolver solver(f.train, *loss, f.prior, dro::AmbiguitySet{}, 1.0);
     EXPECT_THROW(solver.solve_from({1.0}), std::invalid_argument);
 }
 
@@ -149,8 +149,8 @@ TEST(EmDro, TraceFieldsConsistent) {
     EXPECT_EQ(r.trace.robust_loss.size(), r.trace.log_prior.size());
     EXPECT_EQ(r.trace.robust_loss.size(),
               static_cast<std::size_t>(r.trace.outer_iterations));
-    // objective = robust - w*log_prior at every recorded iterate.
-    const double w = solver.transfer_weight_scaled();
+    // objective = robust - w*log_prior at every recorded iterate, w = tau / n.
+    const double w = 1.0 / static_cast<double>(f.train.size());
     for (std::size_t i = 0; i < r.trace.robust_loss.size(); ++i) {
         EXPECT_NEAR(r.trace.objective[i],
                     r.trace.robust_loss[i] - w * r.trace.log_prior[i], 1e-9);
@@ -173,7 +173,7 @@ TEST(EmDro, TraceTermsMatchFreshRecomputation) {
         const EmDroSolver solver(f.train, *loss, prior, set, weight);
         const linalg::Vector start = prior.mean();
         const EmDroResult r = solver.solve_from(start);
-        const double w = solver.transfer_weight_scaled();
+        const double w = weight / static_cast<double>(f.train.size());
         ASSERT_EQ(r.trace.robust_loss.size(), static_cast<std::size_t>(r.trace.outer_iterations));
         for (std::size_t i = 0; i < r.trace.robust_loss.size(); ++i) {
             EmDroOptions capped;

@@ -12,6 +12,7 @@
 #include "stats/alias_table.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::dp {
 namespace {
@@ -255,10 +256,13 @@ TEST(DpmmGibbs, ClusterPosteriorsNearPlantedCenters) {
     DpmmGibbs sampler(clustered_observations(rng, 20), dpmm_config());
     sampler.run(rng);
     ASSERT_EQ(sampler.num_clusters(), 3u);
-    for (const auto& cp : sampler.cluster_posteriors()) {
-        const double r = linalg::norm2(cp.mean);
-        EXPECT_NEAR(r, 6.0, 0.5);  // all centers are at radius 6
-        EXPECT_EQ(cp.count, 20u);
+    // Without the escape atom, atom k is centred on cluster k's posterior
+    // mean and weighted by its member count: 20 for every planted cluster.
+    const MixturePrior prior = sampler.extract_prior(false);
+    ASSERT_EQ(prior.num_components(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_NEAR(linalg::norm2(prior.atom(k).mean()), 6.0, 0.5);  // centers at radius 6
+        EXPECT_DOUBLE_EQ(prior.weights()[k], prior.weights()[0]);
     }
 }
 
@@ -687,7 +691,7 @@ TEST(DpmmVariational, PriorMeansNearPlantedCenters) {
     for (const linalg::Vector& center :
          std::vector<linalg::Vector>{{6.0, 0.0}, {-6.0, 0.0}, {0.0, 6.0}}) {
         for (std::size_t k = 0; k < prior.num_components(); ++k) {
-            if (linalg::distance2(prior.atom(k).mean(), center) < 0.5) {
+            if (test_support::distance2(prior.atom(k).mean(), center) < 0.5) {
                 ++matched;
                 break;
             }

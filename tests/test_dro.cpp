@@ -24,7 +24,7 @@ models::Dataset fixture_dataset(stats::Rng& rng, std::size_t n = 60) {
 // --------------------------------------------------------------- ambiguity
 
 TEST(Ambiguity, FactoryAndNames) {
-    EXPECT_EQ(AmbiguitySet::none().kind, AmbiguityKind::kNone);
+    EXPECT_EQ(AmbiguitySet{}.kind, AmbiguityKind::kNone);
     EXPECT_EQ(AmbiguitySet::wasserstein(0.5).radius, 0.5);
     EXPECT_STREQ(ambiguity_name(AmbiguityKind::kKl), "kl");
     EXPECT_THROW(AmbiguitySet::kl(-0.1), std::invalid_argument);
@@ -58,7 +58,7 @@ TEST(Wasserstein, GradientMatchesNumerical) {
     const auto loss = models::make_logistic_loss();
     const WassersteinDroObjective robust(d, *loss, 0.2);
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    EXPECT_LT(linalg::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
+    EXPECT_LT(test_support::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
               1e-4);
 }
 
@@ -172,7 +172,7 @@ TEST(KlObjective, GradientMatchesNumerical) {
     const auto loss = models::make_logistic_loss();
     const KlDroObjective robust(d, *loss, 0.2, 0.05);
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    EXPECT_LT(linalg::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
+    EXPECT_LT(test_support::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
               2e-4);
 }
 
@@ -245,7 +245,7 @@ TEST(ChiSquareObjective, GradientMatchesNumerical) {
     const auto loss = models::make_logistic_loss();
     const ChiSquareDroObjective robust(d, *loss, 0.3);
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    EXPECT_LT(linalg::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
+    EXPECT_LT(test_support::distance2(robust.gradient(theta), robust.numerical_gradient(theta)),
               5e-3);
 }
 
@@ -256,9 +256,9 @@ TEST(RobustObjective, FactoryDispatchesAllKinds) {
     const models::Dataset d = fixture_dataset(rng, 20);
     const auto loss = models::make_logistic_loss();
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    const double erm = make_robust_objective(d, *loss, AmbiguitySet::none())->value(theta);
+    const double erm = make_robust_objective(d, *loss, AmbiguitySet{})->value(theta);
     for (const AmbiguitySet set : {AmbiguitySet::wasserstein(0.2), AmbiguitySet::kl(0.2),
-                                   AmbiguitySet::chi_square(0.2)}) {
+                                   AmbiguitySet{AmbiguityKind::kChiSquare, 0.2}}) {
         const double robust = make_robust_objective(d, *loss, set)->value(theta);
         EXPECT_GE(robust, erm - 1e-9) << set.to_string();
     }
@@ -286,7 +286,8 @@ TEST(WorstCase, KlAndChiSquareAttainTheirDuals) {
     const models::Dataset d = fixture_dataset(rng, 30);
     const auto loss = models::make_logistic_loss();
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    for (const AmbiguitySet set : {AmbiguitySet::kl(0.3), AmbiguitySet::chi_square(0.3)}) {
+    for (const AmbiguitySet set :
+         {AmbiguitySet::kl(0.3), AmbiguitySet{AmbiguityKind::kChiSquare, 0.3}}) {
         const WorstCase wc = worst_case_distribution(theta, d, *loss, set);
         const double dual = robust_loss(theta, d, *loss, set);
         EXPECT_NEAR(wc.expected_loss, dual, 5e-3) << set.to_string();
@@ -302,7 +303,7 @@ TEST(WorstCase, WassersteinWitnessIsSandwiched) {
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
     const AmbiguitySet set = AmbiguitySet::wasserstein(0.4);
     const WorstCase wc = worst_case_distribution(theta, d, *loss, set);
-    const double clean = robust_loss(theta, d, *loss, AmbiguitySet::none());
+    const double clean = robust_loss(theta, d, *loss, AmbiguitySet{});
     const double dual = robust_loss(theta, d, *loss, set);
     EXPECT_GE(wc.expected_loss, clean - 1e-9);
     EXPECT_LE(wc.expected_loss, dual + 1e-9);
@@ -315,8 +316,8 @@ TEST(WorstCase, NoneReturnsEmpirical) {
     const models::Dataset d = fixture_dataset(rng, 15);
     const auto loss = models::make_logistic_loss();
     const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-    const WorstCase wc = worst_case_distribution(theta, d, *loss, AmbiguitySet::none());
-    EXPECT_NEAR(wc.expected_loss, robust_loss(theta, d, *loss, AmbiguitySet::none()), 1e-12);
+    const WorstCase wc = worst_case_distribution(theta, d, *loss, AmbiguitySet{});
+    EXPECT_NEAR(wc.expected_loss, robust_loss(theta, d, *loss, AmbiguitySet{}), 1e-12);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -47,7 +48,6 @@ TEST(EventQueue, PopsInTimeOrder) {
     EXPECT_EQ(queue.pop().kind, EventKind::kUploadArrival);
     EXPECT_EQ(queue.pop().kind, EventKind::kRoundEnd);
     EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.total_scheduled(), 3u);
     EXPECT_EQ(queue.total_popped(), 3u);
 }
 
@@ -197,29 +197,54 @@ TEST(ShardLayout, MoreShardsThanDevicesLeavesEmptyShards) {
     for (std::size_t s = 2; s < 5; ++s) EXPECT_EQ(layouts[s].size(), 0u);
 }
 
-TEST(UploadSufficientStats, MergeMatchesDirectAccumulation) {
-    stats::Rng rng(7);
-    std::vector<linalg::Vector> thetas;
-    for (int i = 0; i < 12; ++i) thetas.push_back(rng.standard_normal_vector(4));
+/// Runs one shard over devices [0, 10) in which every device attempts an
+/// upload of a `theta_size`-entry theta and `delivered(device)` decides
+/// whether it arrives.
+UploadBatch shard_batch(bool keep_thetas, std::size_t theta_size,
+                        const std::function<bool(std::size_t)>& delivered) {
+    constexpr std::size_t kDevices = 10;
+    constexpr std::size_t kDim = 4;
+    const stats::Rng root(5);
+    const FaultPlan plan({}, root);
+    const DeviceWork work = [&](std::size_t, std::size_t device, stats::Rng& work_rng,
+                                util::Workspace&) {
+        DeviceResult result;
+        result.scored = true;
+        result.attempted_upload = true;
+        result.upload_attempts = 1;
+        result.upload_delivered = delivered(device);
+        result.theta = work_rng.standard_normal_vector(theta_size);
+        return result;
+    };
+    RoundSoA soa;
+    soa.resize(kDevices);
+    Shard shard(ShardLayout{0, 0, kDevices}, kDim);
+    return shard.run_round(0, root.fork(1), plan, work, soa, 30.0, keep_thetas).batch;
+}
 
-    UploadStats direct;
-    for (const auto& theta : thetas) direct.add(theta);
+TEST(ShardBatch, OnAirBytesChargeTheStatisticsTripleAndKeptThetas) {
+    // k = 6 delivered uploads (devices 1, 2, 4, 5, 7, 8) of d = 4 doubles.
+    const auto some = [](std::size_t device) { return device % 3 != 0; };
+    const UploadBatch stats_only = shard_batch(false, 4, some);
+    EXPECT_EQ(stats_only.devices, (std::vector<std::size_t>{1, 2, 4, 5, 7, 8}));
+    EXPECT_TRUE(stats_only.thetas.empty());
+    EXPECT_EQ(stats_only.on_air_bytes, 8u + 16u * 4u);  // u64 count, Σθ, Σθ⊙θ
 
-    UploadStats left;
-    UploadStats right;
-    for (std::size_t i = 0; i < thetas.size(); ++i) {
-        (i < 5 ? left : right).add(thetas[i]);
+    const UploadBatch with_thetas = shard_batch(true, 4, some);
+    EXPECT_EQ(with_thetas.devices, stats_only.devices);
+    ASSERT_EQ(with_thetas.thetas.size(), 6u);
+    EXPECT_EQ(with_thetas.on_air_bytes, 8u + 16u * 4u + 6u * 4u * 8u);
+
+    // A batch no upload rode in costs nothing on the wire.
+    const auto none = [](std::size_t) { return false; };
+    for (const bool keep : {false, true}) {
+        const UploadBatch empty = shard_batch(keep, 4, none);
+        EXPECT_TRUE(empty.devices.empty());
+        EXPECT_EQ(empty.on_air_bytes, 0u);
     }
-    left.merge(right);
 
-    ASSERT_EQ(left.count, direct.count);
-    for (std::size_t i = 0; i < 4; ++i) {
-        // Same-order accumulation within each group; merging is exact for
-        // counts and within double rounding for the sums.
-        EXPECT_NEAR(left.sum[i], direct.sum[i], 1e-12);
-        EXPECT_NEAR(left.sum_sq[i], direct.sum_sq[i], 1e-12);
-    }
-    EXPECT_THROW(direct.add(linalg::Vector(3, 0.0)), std::invalid_argument);
+    // The charge assumes theta_dim entries per upload; anything else throws.
+    EXPECT_THROW(shard_batch(false, 3, some), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- engine runs

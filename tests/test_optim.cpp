@@ -14,6 +14,7 @@
 #include "optim/objective.hpp"
 #include "optim/scalar.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::optim {
 namespace {
@@ -137,7 +138,7 @@ TEST(Objective, NumericalGradientMatchesAnalytic) {
     const linalg::Vector x = rng.standard_normal_vector(5);
     const linalg::Vector analytic = q.gradient(x);
     const linalg::Vector numeric = q.numerical_gradient(x);
-    EXPECT_LT(linalg::distance2(analytic, numeric), 1e-5);
+    EXPECT_LT(test_support::distance2(analytic, numeric), 1e-5);
 }
 
 // ------------------------------------------------------------- line search
@@ -336,24 +337,6 @@ TEST(GradientDescent, RejectsDimensionMismatch) {
     EXPECT_THROW(minimize_gradient_descent(q, linalg::zeros(4)), std::invalid_argument);
 }
 
-TEST(ProjectedGradient, StaysInSimplexAndImproves) {
-    stats::Rng rng(27);
-    const QuadraticObjective q = random_quadratic(5, rng);
-    const Projection project = [](const linalg::Vector& v) {
-        return linalg::project_to_simplex(v);
-    };
-    ProjectedGradientOptions options;
-    options.stopping.max_iterations = 2000;
-    options.stopping.grad_tolerance = 1e-10;
-    const OptimResult r = minimize_projected_gradient(q, linalg::zeros(5), project, options);
-    EXPECT_NEAR(linalg::sum(r.x), 1.0, 1e-9);
-    for (const double v : r.x) EXPECT_GE(v, -1e-12);
-    // Must be at least as good as every vertex (optimality over the simplex).
-    for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_LE(r.value, q.value(linalg::unit(5, i)) + 1e-6);
-    }
-}
-
 // ------------------------------------------------------------------- L-BFGS
 
 TEST(Lbfgs, MatchesClosedFormQuadraticSolution) {
@@ -369,7 +352,7 @@ TEST(Lbfgs, MatchesClosedFormQuadraticSolution) {
     const OptimResult r = minimize_lbfgs(q, linalg::zeros(8));
     ASSERT_TRUE(r.converged);
     // Optimum solves A x = b.
-    EXPECT_LT(linalg::distance2(a.matvec(r.x), b), 1e-5);
+    EXPECT_LT(test_support::distance2(a.matvec(r.x), b), 1e-5);
 }
 
 TEST(Lbfgs, SolvesRosenbrock) {

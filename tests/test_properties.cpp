@@ -17,6 +17,7 @@
 #include "optim/gradient_descent.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel {
 namespace {
@@ -89,7 +90,7 @@ TEST_P(RobustDominatesEmpirical, SupOverBallAtLeastCenter) {
     for (int trial = 0; trial < 5; ++trial) {
         const linalg::Vector theta = rng.standard_normal_vector(d.dim());
         const double empirical =
-            dro::robust_loss(theta, d, *loss, dro::AmbiguitySet::none());
+            dro::robust_loss(theta, d, *loss, dro::AmbiguitySet{});
         const double robust = dro::robust_loss(theta, d, *loss, {kind, 0.3});
         EXPECT_GE(robust, empirical - 1e-8) << dro::ambiguity_name(kind);
     }
@@ -121,7 +122,7 @@ TEST_P(RobustGradientCheck, AnalyticMatchesNumeric) {
         const linalg::Vector theta = rng.standard_normal_vector(d.dim());
         const linalg::Vector analytic = objective->gradient(theta);
         const linalg::Vector numeric = objective->numerical_gradient(theta);
-        EXPECT_LT(linalg::distance2(analytic, numeric), 5e-3)
+        EXPECT_LT(test_support::distance2(analytic, numeric), 5e-3)
             << loss->name() << " / " << dro::ambiguity_name(ambiguity_kind);
     }
 }
@@ -207,7 +208,10 @@ TEST_P(JensenBound, SurrogatePlusEntropyLowerBoundsLogPdf) {
     for (int trial = 0; trial < 10; ++trial) {
         const linalg::Vector theta = rng.standard_normal_vector(4);
         // Arbitrary responsibilities: lower bound.
-        linalg::Vector r = rng.dirichlet({1.0, 1.0, 1.0, 1.0});
+        linalg::Vector r(4);
+        for (double& v : r) v = rng.gamma(1.0);
+        const double total = linalg::sum(r);
+        for (double& v : r) v /= total;
         EXPECT_LE(prior.em_surrogate(theta, r) + entropy(r), prior.log_pdf(theta) + 1e-9);
         // Optimal responsibilities: equality.
         const linalg::Vector r_star = prior.responsibilities(theta);
@@ -263,7 +267,7 @@ TEST_P(SolverAgreement, LbfgsAndGdFindSameOptimum) {
     const auto gd = optim::minimize_gradient_descent(objective, linalg::zeros(d.dim()),
                                                      gd_options);
     EXPECT_NEAR(lbfgs.value, gd.value, 1e-6);
-    EXPECT_LT(linalg::distance2(lbfgs.x, gd.x), 1e-3);
+    EXPECT_LT(test_support::distance2(lbfgs.x, gd.x), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreement, ::testing::Values(71u, 72u, 73u, 74u));
@@ -313,7 +317,7 @@ TEST_P(SoftmaxRobustness, GradientAndMonotonicity) {
         const double value = objective.value(theta);
         EXPECT_GE(value, previous) << "classes=" << classes << " rho=" << rho;
         previous = value;
-        EXPECT_LT(linalg::distance2(objective.gradient(theta),
+        EXPECT_LT(test_support::distance2(objective.gradient(theta),
                                     objective.numerical_gradient(theta)),
                   2e-4)
             << "classes=" << classes << " rho=" << rho;

@@ -4,9 +4,11 @@
 #include <cmath>
 
 #include "data/task_generator.hpp"
+#include "dro/wasserstein.hpp"
 #include "dro/wasserstein_regression.hpp"
 #include "optim/lbfgs.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::dro {
 namespace {
@@ -15,6 +17,30 @@ models::Dataset regression_fixture(stats::Rng& rng, std::size_t n, double noise 
     linalg::Vector theta = rng.standard_normal_vector(5);
     theta.push_back(0.5);  // bias
     return data::generate_regression_data(theta, n, noise, rng);
+}
+
+/// The attaining adversary of the type-2 ball: per-example transport
+/// t_i = rho |r_i| / rms moves the features along the residual-growing
+/// direction, so each residual grows to |r_i| (1 + rho ||theta_f|| / rms)
+/// and the mean squared transport is rho^2. Returns E_Q[squared loss].
+double adversary_value(const linalg::Vector& theta, const models::Dataset& data, double rho) {
+    const std::size_t n = data.size();
+    const double tnorm = feature_norm(theta, perturbable_dims(data));
+    linalg::Vector residuals(n);
+    double mean_sq = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        residuals[i] = data.label(i) - linalg::dot(theta, data.feature_row(i));
+        mean_sq += residuals[i] * residuals[i];
+    }
+    mean_sq /= static_cast<double>(n);
+    const double rms = std::sqrt(mean_sq);
+    if (tnorm < 1e-15 || rho == 0.0) return mean_sq;
+    double value = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double grown = std::fabs(residuals[i]) * (1.0 + rho * tnorm / rms);
+        value += grown * grown;
+    }
+    return value / static_cast<double>(n);
 }
 
 TEST(WassersteinRegression, ZeroRadiusIsPlainMse) {
@@ -44,7 +70,7 @@ TEST(WassersteinRegression, GradientMatchesNumerical) {
     const WassersteinRegressionObjective robust(d, 0.3, 0.02);
     for (int trial = 0; trial < 3; ++trial) {
         const linalg::Vector theta = rng.standard_normal_vector(d.dim());
-        EXPECT_LT(linalg::distance2(robust.gradient(theta),
+        EXPECT_LT(test_support::distance2(robust.gradient(theta),
                                     robust.numerical_gradient(theta)),
                   2e-4);
     }
@@ -60,7 +86,7 @@ TEST(WassersteinRegression, AdversaryAttainsTheClosedForm) {
     const WassersteinRegressionObjective robust(d, 0.0);
     for (const double rho : {0.1, 0.5, 1.5}) {
         const WassersteinRegressionObjective objective(d, rho);
-        EXPECT_NEAR(regression_adversary_value(theta, d, rho), objective.value(theta), 1e-9)
+        EXPECT_NEAR(adversary_value(theta, d, rho), objective.value(theta), 1e-9)
             << rho;
     }
 }
@@ -99,7 +125,7 @@ TEST(WassersteinRegression, RecoversPlantedModelAtLowNoise) {
     const models::Dataset d = data::generate_regression_data(theta_star, 300, 0.05, rng);
     const WassersteinRegressionObjective objective(d, 0.02);
     const auto r = optim::minimize_lbfgs(objective, linalg::zeros(d.dim()));
-    EXPECT_LT(linalg::distance2(r.x, theta_star), 0.1);
+    EXPECT_LT(test_support::distance2(r.x, theta_star), 0.1);
 }
 
 TEST(WassersteinRegression, GeneratorValidation) {

@@ -214,18 +214,6 @@ TEST(RngMethod, NormalMatchesStdDistribution) {
     }
 }
 
-TEST(RngMethod, ExponentialMatchesStdDistribution) {
-    for (const std::uint64_t seed : test_seeds(16)) {
-        Rng rng(seed);
-        std::mt19937_64 oracle(seed);
-        for (int i = 0; i < kMethodCalls; ++i) {
-            const double rate = 0.5 + static_cast<double>(i % 4);
-            ASSERT_EQ(bits(rng.exponential(rate)),
-                      bits(std::exponential_distribution<double>(rate)(oracle)));
-        }
-    }
-}
-
 /// Marsaglia–Tsang with the shape < 1 power boost, on the std engine.
 double oracle_gamma(std::mt19937_64& e, double shape, double scale) {
     const auto uniform = [&e] { return std::uniform_real_distribution<double>(0.0, 1.0)(e); };

@@ -6,6 +6,7 @@
 #include "dro/softmax_dro.hpp"
 #include "models/softmax.hpp"
 #include "stats/rng.hpp"
+#include "test_support.hpp"
 
 namespace drel::dro {
 namespace {
@@ -24,7 +25,7 @@ TEST(SoftmaxFDivergence, GradientMatchesNumericalBothKinds) {
     for (const AmbiguityKind kind : {AmbiguityKind::kKl, AmbiguityKind::kChiSquare}) {
         const SoftmaxFDivergenceObjective objective(d, 3, kind, 0.25, 0.01);
         const linalg::Vector theta = rng.standard_normal_vector(objective.dim());
-        EXPECT_LT(linalg::distance2(objective.gradient(theta),
+        EXPECT_LT(test_support::distance2(objective.gradient(theta),
                                     objective.numerical_gradient(theta)),
                   5e-3)
             << ambiguity_name(kind);
@@ -52,9 +53,9 @@ TEST(SoftmaxFDivergence, FactoryDispatch) {
     const models::Dataset d = multiclass_fixture(rng, 15, 3);
     const linalg::Vector theta = rng.standard_normal_vector(3 * d.dim());
     const double erm =
-        make_softmax_robust_objective(d, 3, AmbiguitySet::none())->value(theta);
+        make_softmax_robust_objective(d, 3, AmbiguitySet{})->value(theta);
     for (const AmbiguitySet set : {AmbiguitySet::wasserstein(0.2), AmbiguitySet::kl(0.2),
-                                   AmbiguitySet::chi_square(0.2)}) {
+                                   AmbiguitySet{AmbiguityKind::kChiSquare, 0.2}}) {
         EXPECT_GE(make_softmax_robust_objective(d, 3, set)->value(theta), erm - 1e-9)
             << set.to_string();
     }

@@ -92,24 +92,6 @@ TEST(Rng, CategoricalRejectsInvalid) {
     EXPECT_THROW(rng.categorical({-1.0, 2.0}), std::invalid_argument);
 }
 
-TEST(Rng, DirichletOnSimplex) {
-    Rng rng(8);
-    for (int i = 0; i < 100; ++i) {
-        const auto p = rng.dirichlet({0.5, 1.0, 2.0});
-        EXPECT_NEAR(linalg::sum(p), 1.0, 1e-12);
-        for (const double v : p) EXPECT_GE(v, 0.0);
-    }
-}
-
-TEST(Rng, DirichletMeanMatchesAlphaRatio) {
-    Rng rng(9);
-    linalg::Vector acc(3, 0.0);
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) linalg::axpy(1.0, rng.dirichlet({1.0, 2.0, 3.0}), acc);
-    EXPECT_NEAR(acc[0] / n, 1.0 / 6.0, 0.01);
-    EXPECT_NEAR(acc[2] / n, 3.0 / 6.0, 0.01);
-}
-
 TEST(Rng, PermutationIsValid) {
     Rng rng(10);
     const auto p = rng.permutation(50);
@@ -121,45 +103,17 @@ TEST(Rng, PermutationIsValid) {
     }
 }
 
-TEST(Rng, SampleWithoutReplacementDistinct) {
-    Rng rng(11);
-    const auto s = rng.sample_without_replacement(20, 10);
-    EXPECT_EQ(s.size(), 10u);
-    std::vector<bool> seen(20, false);
-    for (const std::size_t i : s) {
-        EXPECT_FALSE(seen[i]);
-        seen[i] = true;
-    }
-    EXPECT_THROW(rng.sample_without_replacement(3, 5), std::invalid_argument);
-}
-
 // ----------------------------------------------------------- distributions
 
-TEST(Distributions, NormalPdfIntegratesToKnownValue) {
-    // At the mean, log pdf = -0.5 log(2 pi var).
-    EXPECT_NEAR(log_normal_pdf(0.0, 0.0, 1.0), -0.5 * std::log(2.0 * M_PI), 1e-12);
-    EXPECT_NEAR(log_normal_pdf(2.0, 0.0, 1.0), -0.5 * std::log(2.0 * M_PI) - 2.0, 1e-12);
-}
-
-TEST(Distributions, GammaPdfKnownPoint) {
-    // Gamma(1, 1) is Exponential(1): pdf(x) = e^{-x}.
-    EXPECT_NEAR(log_gamma_pdf(2.0, 1.0, 1.0), -2.0, 1e-12);
-    EXPECT_TRUE(std::isinf(log_gamma_pdf(-1.0, 2.0, 1.0)));
-}
-
-TEST(Distributions, BetaPdfSymmetry) {
-    EXPECT_NEAR(log_beta_pdf(0.3, 2.0, 5.0), log_beta_pdf(0.7, 5.0, 2.0), 1e-12);
-    EXPECT_TRUE(std::isinf(log_beta_pdf(0.0, 2.0, 2.0)));
-}
-
-TEST(Distributions, DirichletUniformCase) {
-    // Dirichlet(1,1,1) is uniform on the simplex: pdf = 2! = 2 everywhere.
-    EXPECT_NEAR(log_dirichlet_pdf({0.2, 0.3, 0.5}, {1.0, 1.0, 1.0}), std::log(2.0), 1e-12);
+/// log N(x; mean, var), the closed form the densities below are checked against.
+double normal_log_pdf(double x, double mean, double var) {
+    const double d = x - mean;
+    return -0.5 * (std::log(2.0 * M_PI * var) + d * d / var);
 }
 
 TEST(Distributions, StudentTApproachesNormalForLargeDof) {
     const double t = log_student_t_pdf(1.3, 1e7, 0.0, 1.0);
-    const double n = log_normal_pdf(1.3, 0.0, 1.0);
+    const double n = normal_log_pdf(1.3, 0.0, 1.0);
     EXPECT_NEAR(t, n, 1e-5);
 }
 
@@ -176,14 +130,14 @@ TEST(Distributions, DigammaRecurrence) {
 
 TEST(MultivariateNormal, LogPdfMatchesUnivariate) {
     const MultivariateNormal mvn = MultivariateNormal::isotropic({0.5}, 2.0);
-    EXPECT_NEAR(mvn.log_pdf({1.5}), log_normal_pdf(1.5, 0.5, 2.0), 1e-12);
+    EXPECT_NEAR(mvn.log_pdf({1.5}), normal_log_pdf(1.5, 0.5, 2.0), 1e-12);
 }
 
 TEST(MultivariateNormal, LogPdfDiagonalFactorizes) {
     const MultivariateNormal mvn =
         MultivariateNormal::diagonal({1.0, -1.0}, {2.0, 3.0});
     const double expected =
-        log_normal_pdf(0.0, 1.0, 2.0) + log_normal_pdf(0.5, -1.0, 3.0);
+        normal_log_pdf(0.0, 1.0, 2.0) + normal_log_pdf(0.5, -1.0, 3.0);
     EXPECT_NEAR(mvn.log_pdf({0.0, 0.5}), expected, 1e-12);
 }
 
@@ -293,7 +247,7 @@ TEST(Descriptive, NearestRanksBySelectionEqualSortedNearestRank) {
         // Half the trials draw from a handful of values: heavy ties.
         const bool ties = trial % 2 == 1;
         for (double& v : sample) {
-            v = ties ? static_cast<double>(rng.uniform_index(4)) : rng.exponential(2.0);
+            v = ties ? static_cast<double>(rng.uniform_index(4)) : rng.uniform();
         }
         check(sample);
     }

@@ -4,8 +4,10 @@
 // the locals it replaced, so adopting it never shifts a test's data.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,17 @@ namespace drel::test_support {
 /// (== would conflate -0.0/0.0 and is a lint trap for exact checks).
 inline bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// ||x - y||_2, the distance the tests compare parameter vectors by.
+inline double distance2(const linalg::Vector& x, const linalg::Vector& y) {
+    if (x.size() != y.size()) throw std::invalid_argument("distance2: size mismatch");
+    double acc = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        const double d = x[i] - y[i];
+        acc += d * d;
+    }
+    return std::sqrt(acc);
 }
 
 /// Small binary-task dataset from a 2-mode synthetic population

@@ -102,14 +102,6 @@ TEST(Table, RejectsEmptyHeader) {
     EXPECT_THROW(util::Table({}), std::invalid_argument);
 }
 
-TEST(Table, CsvOutput) {
-    util::Table t({"x", "y"});
-    t.add_row({"1", "2"});
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 TEST(Table, FmtPrecision) {
     EXPECT_EQ(util::Table::fmt(0.123456, 3), "0.123");
     EXPECT_EQ(util::Table::fmt(2.0, 1), "2.0");
@@ -133,21 +125,10 @@ TEST(Stopwatch, ResetRestarts) {
 
 // ---------------------------------------------------------------- logging
 
-TEST(Logging, LevelFilterRoundTrip) {
-    const auto original = util::log_level();
-    util::set_log_level(util::LogLevel::kError);
-    EXPECT_EQ(util::log_level(), util::LogLevel::kError);
-    // Below-threshold line must be a no-op (no crash, no output assertion
-    // needed — we only exercise the filter path).
-    DREL_LOG_DEBUG("test") << "invisible";
-    util::set_log_level(original);
-}
-
 TEST(Logging, StreamFormatsArbitraryTypes) {
-    const auto original = util::log_level();
-    util::set_log_level(util::LogLevel::kOff);
-    DREL_LOG_ERROR("test") << "x=" << 42 << " y=" << 1.5;
-    util::set_log_level(original);
+    // Below the default kWarn threshold: the stream formats, the line is
+    // filtered out.
+    DREL_LOG_DEBUG("test") << "x=" << 42 << " y=" << 1.5;
 }
 
 // ------------------------------------------------------------- thread pool
@@ -259,44 +240,6 @@ TEST(ParallelFor, ConcurrentCallersShareTheGlobalExecutor) {
     for (const auto& count : counts) EXPECT_EQ(count.load(), 500);
 }
 
-TEST(ParallelForChunked, CoversRangeExactlyOnceWithExplicitGrain) {
-    std::vector<std::atomic<int>> hits(1003);
-    util::parallel_for_chunked(1003, 4, 64, [&](std::size_t begin, std::size_t end) {
-        ASSERT_LE(end, 1003u);
-        ASSERT_LE(end - begin, 64u);
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForChunked, AutoGrainCoversRangeExactlyOnce) {
-    std::vector<std::atomic<int>> hits(777);
-    util::parallel_for_chunked(777, 8, 0, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelReduce, BitIdenticalAcrossThreadCounts) {
-    // Rounding-sensitive terms: any change in association order would show.
-    const auto map = [](std::size_t i) {
-        return std::sin(static_cast<double>(i) * 0.73) * 1e-3 + 1.0 / (1.0 + static_cast<double>(i));
-    };
-    const auto combine = [](double a, double b) { return a + b; };
-    const double serial = util::parallel_reduce(12345, 0.0, map, combine, 1);
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-        const double parallel = util::parallel_reduce(12345, 0.0, map, combine, threads);
-        EXPECT_EQ(serial, parallel) << "threads=" << threads;
-    }
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
-    EXPECT_EQ(util::parallel_reduce(
-                  0, 42.0, [](std::size_t) { return 1.0; },
-                  [](double a, double b) { return a + b; }, 4),
-              42.0);
-}
-
 TEST(Executor, LocalInstanceRunsIndependentOfGlobal) {
     util::Executor executor(4);
     EXPECT_EQ(executor.max_threads(), 4u);
@@ -344,7 +287,17 @@ TEST(ThreadPool, AbandonPolicyBreaksPromisesOfQueuedTasks) {
     for (int i = 0; i < 8; ++i) queued.push_back(pool.submit([] {}));
 
     std::thread shutter([&pool] { pool.shutdown(); });
-    while (!pool.is_shutting_down()) std::this_thread::yield();
+    // Submissions succeed until the stop signal, then throw: probing with
+    // them tells when shutdown has begun. Every probe that got in queued
+    // behind the blocked worker, so it is abandoned like the rest.
+    while (true) {
+        try {
+            queued.push_back(pool.submit([] {}));
+        } catch (const std::runtime_error&) {
+            break;
+        }
+        std::this_thread::yield();
+    }
     gate.set_value();  // release the in-flight task only after stop is signalled
     shutter.join();
 
